@@ -1,24 +1,25 @@
 //! Shared experiment drivers for the HawkEye bench harness.
 //!
-//! Every paper table and figure has a `[[bench]]` target (run by
-//! `cargo bench`) that prints its reproduction as a text table. The
-//! helpers here keep those targets small: policy construction by name,
-//! standard fragmented-machine setup, single-workload runs, and steady
-//! -state ("dirty free memory") preparation for the fast-fault
-//! experiments.
+//! Every paper table and figure is a [`suite`] target that prints its
+//! reproduction as a text table; the one `suite` bench runs them by name
+//! (`cargo bench -p hawkeye-bench --bench suite -- <target>...`, all of
+//! them when no name is given). The helpers here keep those targets
+//! small: policy construction by name, standard fragmented-machine
+//! setup, single-workload runs, and steady-state ("dirty free memory")
+//! preparation for the fast-fault experiments.
 //!
 //! Since the scenario-engine port, every target expresses its policy ×
 //! workload × config matrix as [`Scenario`]s: independent simulations fan
-//! out across cores via the in-tree worker pool ([`pool`]) and reassemble
-//! in submission order, so output is byte-identical at any
-//! `HAWKEYE_BENCH_THREADS` setting while the suite's wall-clock scales
-//! with core count. [`Report`] prints the text table and writes the JSON
-//! summary (`target/bench-results/<target>.json`) every target now emits.
+//! out across cores via the in-tree worker pool
+//! ([`hawkeye_fleet::pool`]) and reassemble in submission order, so
+//! output is byte-identical at any `HAWKEYE_BENCH_THREADS` setting while
+//! the suite's wall-clock scales with core count. [`Report`] prints the
+//! text table and writes the JSON summary
+//! (`target/bench-results/<target>.json`) every target now emits.
 
 #![warn(missing_docs)]
 
 pub mod json;
-pub mod pool;
 pub mod scenario;
 pub mod suite;
 pub mod wallclock;

@@ -5,15 +5,15 @@
 //! A scenario is a name plus a `Send` closure that builds and runs one
 //! simulation (or any other self-contained computation) and returns its
 //! result — usually a [`Row`]. [`run_scenarios`] executes the whole list
-//! on the in-tree worker pool ([`crate::pool`]) and returns results in
-//! submission order, so table output is byte-identical at any worker
-//! count. [`Report`] is the shared formatting tail: it prints the text
+//! on the in-tree worker pool ([`hawkeye_fleet::pool`]) and returns
+//! results in submission order, so table output is byte-identical at any
+//! worker count. [`Report`] is the shared formatting tail: it prints the text
 //! table every target used to hand-roll and writes the machine-readable
 //! JSON summary to `target/bench-results/<target>.json`.
 
 use crate::json::{self, Json};
-use crate::pool::{self, Job};
 use crate::RunOutcome;
+use hawkeye_fleet::pool::{self, Job};
 use hawkeye_kernel::Simulator;
 use hawkeye_metrics::{registry, Registry, Subsystem};
 use hawkeye_trace::{scope, Journal};

@@ -3,10 +3,17 @@
 //! Every bench target that reproduces a table or figure from the paper
 //! (the rows of DESIGN.md §4's experiment index) lives here as a module
 //! with a single `pub fn report(threads: usize) -> Report` entry point.
-//! The `benches/*.rs` files are thin wrappers over [`run_main`], and
+//! The one `suite` bench runs any of them by name through [`select`] and
+//! [`run_main`]:
+//!
+//! ```text
+//! cargo bench -p hawkeye-bench --bench suite -- table1_fault_latency fig5_promotion_efficiency
+//! cargo bench -p hawkeye-bench --bench suite     # all targets, TARGETS order
+//! ```
+//!
 //! `hawkeye-report` runs the same code in-process via [`TARGETS`] so the
-//! one-command reproduction pipeline and the individual binaries can
-//! never drift apart (DESIGN.md §12).
+//! one-command reproduction pipeline and the bench can never drift apart
+//! (DESIGN.md §12).
 //!
 //! `ablations` and `touch_throughput` stay standalone benches: they are
 //! exploratory tools, not rows of the experiment index.
@@ -167,10 +174,82 @@ pub fn find(name: &str) -> Option<&'static Target> {
     TARGETS.iter().find(|t| t.name == name)
 }
 
-/// Entry point for the thin `benches/*.rs` wrappers: runs `name` on the
-/// configured worker count ([`crate::pool::worker_threads`]) and prints
-/// and persists the report exactly as the pre-suite binaries did.
-pub fn run_main(name: &str) {
-    let target = find(name).unwrap_or_else(|| panic!("unknown suite target `{name}`"));
-    (target.build)(crate::pool::worker_threads()).finish();
+/// Resolves a `suite` bench command line to the targets it names, in the
+/// order given. Arguments starting with `--` are ignored (`cargo bench`
+/// passes `--bench` to every bench binary); no names selects every target
+/// in [`TARGETS`] order. An unknown name is an error that names it and
+/// lists the valid ones.
+pub fn select<I>(args: I) -> Result<Vec<&'static Target>, String>
+where
+    I: IntoIterator,
+    I::Item: AsRef<str>,
+{
+    let mut picked = Vec::new();
+    for arg in args {
+        let name = arg.as_ref();
+        if name.starts_with("--") {
+            continue;
+        }
+        let Some(target) = find(name) else {
+            let valid: Vec<&str> = TARGETS.iter().map(|t| t.name).collect();
+            return Err(format!(
+                "unknown suite target `{name}`; valid targets: {}",
+                valid.join(", ")
+            ));
+        };
+        picked.push(target);
+    }
+    if picked.is_empty() {
+        picked = TARGETS.iter().collect();
+    }
+    Ok(picked)
+}
+
+/// Runs `target` on the configured worker count
+/// ([`hawkeye_fleet::pool::worker_threads`]), printing its table and
+/// persisting its summary and journal.
+pub fn run_main(target: &Target) {
+    (target.build)(hawkeye_fleet::pool::worker_threads()).finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(targets: &[&Target]) -> Vec<&'static str> {
+        targets.iter().map(|t| t.name).collect()
+    }
+
+    #[test]
+    fn no_names_selects_every_target_in_order() {
+        let all = select(Vec::<String>::new()).expect("empty args are valid");
+        assert_eq!(all.len(), 22);
+        assert_eq!(names(&all), names(&TARGETS.iter().collect::<Vec<_>>()));
+    }
+
+    #[test]
+    fn flags_are_ignored() {
+        assert_eq!(select(["--bench"]).expect("flag only").len(), TARGETS.len());
+        let picked = select(["--bench", "fig4_access_map", "--quick"]).expect("one name");
+        assert_eq!(names(&picked), ["fig4_access_map"]);
+    }
+
+    #[test]
+    fn named_targets_keep_the_order_given() {
+        let picked = select(["hpc_stencil", "table1_fault_latency", "fig8_heterogeneous"])
+            .expect("known names");
+        assert_eq!(
+            names(&picked),
+            ["hpc_stencil", "table1_fault_latency", "fig8_heterogeneous"]
+        );
+    }
+
+    #[test]
+    fn unknown_name_is_an_error_naming_it() {
+        let Err(err) = select(["table1_fault_latency", "fig2_nope"]) else {
+            panic!("an unknown name must be an error");
+        };
+        assert!(err.contains("`fig2_nope`"), "{err}");
+        assert!(err.contains("table1_fault_latency"), "lists valid names: {err}");
+    }
 }

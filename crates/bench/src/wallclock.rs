@@ -48,20 +48,16 @@ pub fn take() -> Vec<(&'static str, f64)> {
     }
 }
 
-/// The `<target>.wallclock.json` document: phase breakdown, the
-/// event-skip scheduler's quanta window, and — when any machine in the
-/// window ran multi-core — the per-core busy/stall breakdown from the
-/// real-thread contention replay ([`hawkeye_kernel::core_stats`]).
+/// The `<target>.wallclock.json` document: phase breakdown and the
+/// event-skip scheduler's quanta window.
 pub fn doc(
     target: &str,
     phases: &[(&'static str, f64)],
     quanta_total: u64,
     quanta_skipped: u64,
-    cores: u32,
-    per_core: &[hawkeye_kernel::core_stats::CoreBusy],
 ) -> Json {
     let total: f64 = phases.iter().map(|(_, s)| *s).sum();
-    let mut fields = vec![
+    Json::obj(vec![
         ("target", Json::str(target)),
         (
             "phases",
@@ -77,28 +73,7 @@ pub fn doc(
         ("total_secs", Json::num(total)),
         ("quanta_total", Json::int(quanta_total)),
         ("quanta_skipped", Json::int(quanta_skipped)),
-    ];
-    if cores > 1 {
-        fields.push(("cores", Json::int(cores as u64)));
-        fields.push((
-            "core_busy",
-            Json::Arr(
-                per_core
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        Json::obj(vec![
-                            ("core", Json::int(i as u64)),
-                            ("busy_ns", Json::int(c.busy_ns)),
-                            ("stall_ns", Json::int(c.stall_ns)),
-                            ("cas_retries", Json::int(c.retries)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    Json::obj(fields)
+    ])
 }
 
 /// Drains the recorded phases and the process-wide quanta counters and
@@ -109,12 +84,10 @@ pub fn write_in(dir: &std::path::Path, target: &str) {
     let phases = take();
     let (quanta_total, quanta_skipped) = hawkeye_kernel::sched_stats::snapshot();
     hawkeye_kernel::sched_stats::reset();
-    let (cores, per_core) = hawkeye_kernel::core_stats::snapshot();
-    hawkeye_kernel::core_stats::reset();
     if phases.is_empty() && quanta_total == 0 {
         return;
     }
-    let json = doc(target, &phases, quanta_total, quanta_skipped, cores, &per_core);
+    let json = doc(target, &phases, quanta_total, quanta_skipped);
     let path = dir.join(format!("{target}.wallclock.json"));
     let mut out = String::new();
     json.write_into(&mut out);
@@ -143,30 +116,12 @@ mod tests {
     #[test]
     fn doc_carries_phases_totals_and_quanta() {
         let phases = vec![("engine", 12.5), ("summary_write", 0.75)];
-        let text = doc("fig7", &phases, 1000, 400, 0, &[]).to_string();
+        let text = doc("fig7", &phases, 1000, 400).to_string();
         assert!(text.contains("\"target\":\"fig7\""));
         assert!(text.contains("\"phase\":\"engine\""));
         assert!(text.contains("\"secs\":12.5"));
         assert!(text.contains("\"total_secs\":13.25"));
         assert!(text.contains("\"quanta_total\":1000"));
         assert!(text.contains("\"quanta_skipped\":400"));
-        // Serial windows carry no core table at all.
-        assert!(!text.contains("core_busy"));
-    }
-
-    #[test]
-    fn doc_carries_core_breakdown_for_multicore_windows() {
-        use hawkeye_kernel::core_stats::CoreBusy;
-        let per_core = vec![
-            CoreBusy { busy_ns: 5_000, stall_ns: 1_200, retries: 17 },
-            CoreBusy { busy_ns: 4_000, stall_ns: 300, retries: 2 },
-        ];
-        let text = doc("mc", &[("engine", 1.0)], 10, 0, 2, &per_core).to_string();
-        assert!(text.contains("\"cores\":2"));
-        assert!(text.contains("\"core\":0"));
-        assert!(text.contains("\"busy_ns\":5000"));
-        assert!(text.contains("\"stall_ns\":1200"));
-        assert!(text.contains("\"cas_retries\":17"));
-        assert!(text.contains("\"core\":1"));
     }
 }

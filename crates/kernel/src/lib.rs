@@ -33,7 +33,6 @@
 //! ```
 
 pub mod config;
-pub mod core_stats;
 pub mod machine;
 pub mod multicore;
 pub mod policy;

@@ -893,8 +893,8 @@ impl Machine {
 
     /// Replays the recorded per-core plan (no-op at `cores = 1`): the
     /// deterministic interleaving publishes `lock.*` counters and
-    /// [`TraceEvent::Contention`] events; the real-thread replay feeds
-    /// [`crate::core_stats`]. The simulator calls this at run-loop exit.
+    /// [`TraceEvent::Contention`] events. The simulator calls this at
+    /// run-loop exit.
     pub fn drain_concurrency(&mut self) {
         if let Some(rec) = self.conc.as_mut() {
             rec.drain(&self.metrics, &self.trace);

@@ -1,5 +1,5 @@
-//! Multi-core contention: the per-core access plan, its deterministic
-//! replay, and the real-thread replay.
+//! Multi-core contention: the per-core access plan and its deterministic
+//! replay.
 //!
 //! One simulated [`crate::Machine`] stays a serial discrete-event
 //! simulation — that is what keeps every aggregate counter (faults,
@@ -17,33 +17,27 @@
 //!
 //! With `cores = N`, the last two cores host the daemons and the rest run
 //! app processes (at `N = 2` both daemons share core 1), so daemons
-//! genuinely contend with app cores for the same page-state words and
-//! buddy shards — the paper's "one core scans while others fault" story.
+//! genuinely contend with app cores for the same page-state locks and
+//! allocator shards — the paper's "one core scans while others fault"
+//! story.
 //!
-//! The plan is replayed twice at the end of each run call:
-//!
-//! 1. **Deterministic replay** — a discrete-event interleaving over
-//!    per-core virtual clocks: cores advance in (virtual time, core id)
-//!    order; an op on a resource another core still holds stalls until
-//!    the holder's release and charges one CAS retry per backoff window.
-//!    Its outputs — the `lock.*` registry counters, the retry/hold
-//!    histograms, and the [`TraceEvent::Contention`] journal events — are
-//!    exact functions of the plan, so they are bit-reproducible for a
-//!    fixed core count (and absent entirely at `cores = 1`).
-//! 2. **Real-thread replay** — one OS thread per core re-executes the
-//!    plan against genuine [`PageStateWord`]s and a shared
-//!    [`ShardedBuddy`], measuring wall-clock busy/stall per core into
-//!    [`crate::core_stats`]. Host-dependent by design; it feeds only the
-//!    `.wallclock.json` sidecar, never deterministic artifacts.
+//! The plan is replayed once, deterministically, at the end of each run
+//! call: a discrete-event interleaving over per-core virtual clocks.
+//! Cores advance in (virtual time, core id) order; an op on a resource
+//! another core still holds stalls until the holder's release and charges
+//! one CAS retry per backoff window. Its outputs — the `lock.*` registry
+//! counters, the retry/hold histograms, and the
+//! [`TraceEvent::Contention`] journal events — are exact functions of the
+//! plan, so they are bit-reproducible for a fixed core count (and absent
+//! entirely at `cores = 1`).
 
-use hawkeye_mem::shard::ShardedBuddy;
-use hawkeye_mem::{AllocPref, Order};
+use hawkeye_mem::Order;
 use hawkeye_metrics::{Cycles, LogHistogram, MetricsSink};
 use hawkeye_trace::{TraceEvent, TraceSink};
-use hawkeye_vm::PageStateWord;
 use std::collections::BTreeMap;
 
-pub use crate::core_stats::MAX_CORES;
+/// Hard cap on simulated cores (also the registry's per-core key count).
+pub const MAX_CORES: usize = 8;
 
 /// Virtual cycles of spinning per modeled CAS retry while stalled on a
 /// held resource (a cache-line ping-pong plus a short backoff).
@@ -52,15 +46,6 @@ const RETRY_BACKOFF: u64 = 256;
 /// Virtual cycles a shard lock is held per allocator trip (list pop and
 /// bookkeeping; zeroing happens outside the lock in this model).
 const ALLOC_HOLD: u64 = 120;
-
-/// Per-drain cap on ops re-executed by the real-thread replay (the
-/// deterministic replay always consumes the full plan; the wall-clock
-/// measurement only needs a representative slice per core).
-const REAL_REPLAY_CAP: usize = 32_768;
-
-/// Page-state words backing the real-thread replay (keys hash onto this
-/// table, so distinct hot regions map to distinct words).
-const WORD_TABLE: usize = 1024;
 
 /// Resource-key namespace bit for allocator shards (page keys use
 /// pid/hvpn bits only and never reach bit 63).
@@ -164,9 +149,9 @@ impl CoreLayout {
         }
     }
 
-    /// Buddy shards: one per app core, shared by the daemon cores
+    /// Allocator shards: one per app core, shared by the daemon cores
     /// (`home_shard` folds them in), so daemon allocations contend with
-    /// app allocations on real arenas.
+    /// app allocations.
     pub fn shards(&self) -> usize {
         self.app_cores as usize
     }
@@ -221,8 +206,7 @@ const CORE_STALL: [&str; MAX_CORES] = [
 ];
 
 /// Records the per-core access plan during serial execution and replays
-/// it (deterministically into the registry/journal, concurrently into
-/// [`crate::core_stats`]) when drained.
+/// it deterministically into the registry and journal when drained.
 #[derive(Debug)]
 pub struct ConcRecorder {
     layout: CoreLayout,
@@ -234,9 +218,6 @@ pub struct ConcRecorder {
     res_free_at: BTreeMap<u64, u64>,
     /// Cumulative per-core totals across drains.
     totals: Vec<CoreContention>,
-    /// Real-thread replay substrate, reused across drains.
-    words: Vec<PageStateWord>,
-    shards: ShardedBuddy,
 }
 
 impl ConcRecorder {
@@ -251,10 +232,6 @@ impl ConcRecorder {
             vclock: vec![0; n],
             res_free_at: BTreeMap::new(),
             totals: vec![CoreContention::default(); n],
-            words: (0..WORD_TABLE).map(|_| PageStateWord::new()).collect(),
-            // 4096 frames per shard: enough for huge-order (512-page)
-            // replay allocations with room to spare.
-            shards: ShardedBuddy::new(4096 * layout.shards() as u64, layout.shards()),
         }
     }
 
@@ -303,15 +280,13 @@ impl ConcRecorder {
         self.record(core, ConcOp::Lock { key, hold: hold.get() });
     }
 
-    /// Replays everything recorded since the last drain: deterministic
-    /// interleaving into `metrics` + `trace`, real threads into
-    /// [`crate::core_stats`]. No-op when nothing was recorded.
+    /// Replays everything recorded since the last drain into `metrics` +
+    /// `trace`. No-op when nothing was recorded.
     pub fn drain(&mut self, metrics: &MetricsSink, trace: &TraceSink) {
         if self.plans.iter().all(Vec::is_empty) {
             return;
         }
         let per_core = self.deterministic_replay(metrics, trace);
-        self.real_replay();
         for (core, c) in per_core.iter().enumerate() {
             self.totals[core].acquisitions += c.acquisitions;
             self.totals[core].cas_retries += c.cas_retries;
@@ -399,70 +374,6 @@ impl ConcRecorder {
         metrics.merge_hist("lock.retry_spins", &retry_hist);
         metrics.merge_hist("lock.hold_cycles", &hold_hist);
         out
-    }
-
-    /// Re-executes (a slice of) each core's plan on a real OS thread
-    /// against shared [`PageStateWord`]s and the [`ShardedBuddy`],
-    /// measuring genuine wall-clock contention into
-    /// [`crate::core_stats`]. Aggregate outcomes (every lock released,
-    /// every frame freed) are exact; timings are host-dependent and stay
-    /// in the wall-clock sidecar.
-    fn real_replay(&mut self) {
-        use std::time::Instant;
-        crate::core_stats::note_cores(self.layout.cores);
-        let words = &self.words;
-        let shards = &self.shards;
-        let layout = self.layout;
-        std::thread::scope(|s| {
-            for (core, plan) in self.plans.iter().enumerate() {
-                if plan.is_empty() {
-                    continue;
-                }
-                let slice = &plan[..plan.len().min(REAL_REPLAY_CAP)];
-                s.spawn(move || {
-                    let t0 = Instant::now();
-                    let mut stall_ns = 0u64;
-                    let mut retries = 0u64;
-                    for op in slice {
-                        match *op {
-                            ConcOp::Lock { key, .. } => {
-                                let w = &words[(key % WORD_TABLE as u64) as usize];
-                                let a0 = Instant::now();
-                                let r = w.lock_exclusive();
-                                if r > 0 {
-                                    stall_ns += a0.elapsed().as_nanos() as u64;
-                                    retries += r;
-                                }
-                                w.unlock_exclusive();
-                            }
-                            ConcOp::Alloc { order } => {
-                                let mut waits = 0u64;
-                                let a0 = Instant::now();
-                                let home = layout.home_shard(core);
-                                if let Ok(a) = shards.alloc_contended(
-                                    home,
-                                    Order(order),
-                                    AllocPref::Zeroed,
-                                    &mut waits,
-                                ) {
-                                    shards.free(a.pfn, a.order);
-                                }
-                                if waits > 0 {
-                                    stall_ns += a0.elapsed().as_nanos() as u64;
-                                    retries += waits;
-                                }
-                            }
-                        }
-                    }
-                    crate::core_stats::flush_core(
-                        core,
-                        t0.elapsed().as_nanos() as u64,
-                        stall_ns,
-                        retries,
-                    );
-                });
-            }
-        });
     }
 }
 
@@ -574,22 +485,5 @@ mod tests {
             format!("{:?}", reg.machine(0).map(|m| m.counters().collect::<Vec<_>>()))
         };
         assert_eq!(chunked, whole);
-    }
-
-    #[test]
-    fn real_replay_accumulates_core_busy_time() {
-        let (_, before) = crate::core_stats::snapshot();
-        let b0 = before.first().copied().unwrap_or_default();
-        let mut rec = ConcRecorder::new(2);
-        for _ in 0..200 {
-            rec.app(1, page_key(1, 3), Cycles::new(100), Some(Order(0)));
-            rec.khugepaged(page_key(1, 3), Cycles::new(100), None);
-        }
-        rec.drain(&MetricsSink::disabled(), &TraceSink::disabled());
-        let (cores, after) = crate::core_stats::snapshot();
-        assert!(cores >= 2);
-        assert!(after[0].busy_ns > b0.busy_ns, "core 0 thread ran");
-        rec.shards.check_invariants();
-        assert_eq!(rec.shards.free_pages(), 4096, "every replay frame freed");
     }
 }

@@ -125,7 +125,7 @@ impl Simulator {
         // existing binary can run multi-core without a config change. An
         // unparsable value warns once and keeps the configured count.
         if let Some(n) = hawkeye_metrics::env::parse::<u32>("HAWKEYE_CORES") {
-            config.cores = n.clamp(1, crate::core_stats::MAX_CORES as u32);
+            config.cores = n.clamp(1, crate::multicore::MAX_CORES as u32);
         }
         Simulator {
             machine: Machine::new(config),

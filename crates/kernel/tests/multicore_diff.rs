@@ -192,19 +192,3 @@ fn contending_daemons_retry_cas_here() {
         .sum();
     assert_eq!(traced, get("lock.cas_retries"), "journal and registry disagree");
 }
-
-#[test]
-fn hawkeye_cores_env_overrides_config() {
-    // The knob is read at Simulator::new; exercise both directions.
-    // (Env vars are process-global — set, test, and restore immediately;
-    // no other test in this binary reads HAWKEYE_CORES concurrently.)
-    std::env::set_var("HAWKEYE_CORES", "4");
-    let sim = Simulator::new(KernelConfig::small(), Box::new(BasePagesOnly));
-    assert!(sim.machine().concurrency().is_some(), "HAWKEYE_CORES=4 enables recording");
-    std::env::set_var("HAWKEYE_CORES", "1");
-    let mut cfg = KernelConfig::small();
-    cfg.cores = 8;
-    let sim = Simulator::new(cfg, Box::new(BasePagesOnly));
-    assert!(sim.machine().concurrency().is_none(), "HAWKEYE_CORES=1 forces serial");
-    std::env::remove_var("HAWKEYE_CORES");
-}

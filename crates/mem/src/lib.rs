@@ -36,7 +36,6 @@ pub mod error;
 pub mod fmfi;
 pub mod frame;
 pub mod rng;
-pub mod shard;
 pub mod types;
 
 pub use buddy::{AllocPref, Allocation, PhysMemory};
@@ -44,7 +43,6 @@ pub use compact::CompactionStats;
 pub use content::PageContent;
 pub use error::AllocError;
 pub use frame::{Frame, FrameKind, OwnerTag};
-pub use shard::{ShardAlloc, ShardedBuddy};
 pub use types::{
     Order, Pfn, BASE_PAGES_PER_HUGE, BASE_PAGE_SHIFT, BASE_PAGE_SIZE, HUGE_ORDER, HUGE_PAGE_SIZE,
     MAX_ORDER,

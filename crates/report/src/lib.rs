@@ -198,31 +198,11 @@ pub struct TargetWall {
     pub quanta_total: u64,
     /// Quanta the event-skip scheduler charged in closed form.
     pub quanta_skipped: u64,
-    /// Simulated cores of the target's widest multi-core window (0 when
-    /// every run was serial — the sidecar then omits core fields).
-    pub cores: u64,
-    /// Per-core busy/stall host-nanoseconds from the real-thread replay.
-    pub core_busy: Vec<CoreWall>,
     /// True when the sidecar existed but could not be read or parsed:
     /// the phase/quanta fields above are meaningless and WALLCLOCK.md
     /// renders `n/a` instead of silent zeros. A *missing* sidecar (the
     /// target recorded nothing) keeps the defaults with `corrupt: false`.
     pub corrupt: bool,
-}
-
-/// One replay core's utilization from the `core_busy` sidecar array:
-/// host time the OS thread re-executing that core's op plan spent
-/// holding locks vs. spinning on them.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CoreWall {
-    /// Simulated core id.
-    pub core: u64,
-    /// Host nanoseconds holding page-state locks / allocator shards.
-    pub busy_ns: u64,
-    /// Host nanoseconds spinning while another thread held them.
-    pub stall_ns: u64,
-    /// Real CAS retries observed by the replay threads.
-    pub cas_retries: u64,
 }
 
 impl TargetWall {
@@ -232,9 +212,8 @@ impl TargetWall {
     }
 }
 
-/// `(phases, quanta_total, quanta_skipped, cores, core_busy)` from a
-/// timing sidecar.
-type WallSidecar = (Vec<(String, f64)>, u64, u64, u64, Vec<CoreWall>);
+/// `(phases, quanta_total, quanta_skipped)` from a timing sidecar.
+type WallSidecar = (Vec<(String, f64)>, u64, u64);
 
 /// Reads `<dir>/<name>.wallclock.json` back. `Ok(None)` means the
 /// sidecar does not exist (the target recorded nothing — legitimate);
@@ -284,43 +263,7 @@ fn read_wallclock(dir: &Path, name: &str) -> Result<Option<WallSidecar>, String>
             .as_u64()
             .ok_or_else(|| format!("{}: \"{k}\" is not a u64", path.display()))
     };
-    // `cores` is written only for multi-core windows; its absence means
-    // "serial", not corruption.
-    let cores = match get("cores") {
-        Some(v) => {
-            v.as_u64().ok_or_else(|| format!("{}: \"cores\" is not a u64", path.display()))?
-        }
-        None => 0,
-    };
-    let core_busy = get("core_busy")
-        .map(|v| {
-            v.as_arr()
-                .ok_or_else(|| format!("{}: \"core_busy\" is not an array", path.display()))?
-                .iter()
-                .map(|p| {
-                    let o = p.as_obj().ok_or_else(|| {
-                        format!("{}: core_busy entry is not an object", path.display())
-                    })?;
-                    let field = |k: &str| {
-                        o.iter()
-                            .find(|(key, _)| key == k)
-                            .and_then(|(_, v)| v.as_u64())
-                            .ok_or_else(|| {
-                                format!("{}: core_busy entry missing \"{k}\"", path.display())
-                            })
-                    };
-                    Ok(CoreWall {
-                        core: field("core")?,
-                        busy_ns: field("busy_ns")?,
-                        stall_ns: field("stall_ns")?,
-                        cas_retries: field("cas_retries")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()
-        })
-        .transpose()?
-        .unwrap_or_default();
-    Ok(Some((phases, int("quanta_total")?, int("quanta_skipped")?, cores, core_busy)))
+    Ok(Some((phases, int("quanta_total")?, int("quanta_skipped")?)))
 }
 
 /// Runs the selected targets in-process with tracing forced on, writing
@@ -348,15 +291,13 @@ pub fn run_suite(targets: &[&'static Target], threads: usize, dir: &Path) -> Vec
                 (WallSidecar::default(), true)
             }
         };
-        let (phases, quanta_total, quanta_skipped, cores, core_busy) = sidecar;
+        let (phases, quanta_total, quanta_skipped) = sidecar;
         walls.push(TargetWall {
             name: t.name,
             total_secs,
             phases,
             quanta_total,
             quanta_skipped,
-            cores,
-            core_busy,
             corrupt,
         });
     }
@@ -379,13 +320,11 @@ pub fn wallclock_table(walls: &[TargetWall], threads: usize) -> String {
          the scenario-engine run, `summary` and `trace` are the artifact \
          dumps; the remainder is table formatting and load-back. \
          `skip%` is the fraction of scheduler quanta the event-skip \
-         scheduler charged in closed form instead of executing. `cores` \
-         is the widest simulated multi-core window the target ran (— \
-         when every run was serial).\n\n",
+         scheduler charged in closed form instead of executing.\n\n",
     ));
     out.push_str(
-        "| Target | total (s) | engine (s) | summary (s) | trace (s) | quanta | skip% | cores |\n\
-         |---|---:|---:|---:|---:|---:|---:|---:|\n",
+        "| Target | total (s) | engine (s) | summary (s) | trace (s) | quanta | skip% |\n\
+         |---|---:|---:|---:|---:|---:|---:|\n",
     );
     let mut order: Vec<&TargetWall> = walls.iter().collect();
     order.sort_by(|a, b| b.total_secs.total_cmp(&a.total_secs));
@@ -395,7 +334,7 @@ pub fn wallclock_table(walls: &[TargetWall], threads: usize) -> String {
             // would have provided renders n/a (the end-to-end total comes
             // from the monotonic clock around the run, not the sidecar).
             out.push_str(&format!(
-                "| `{}` | {:.2} | n/a | n/a | n/a | n/a | n/a | n/a |\n",
+                "| `{}` | {:.2} | n/a | n/a | n/a | n/a | n/a |\n",
                 w.name, w.total_secs,
             ));
             continue;
@@ -406,7 +345,7 @@ pub fn wallclock_table(walls: &[TargetWall], threads: usize) -> String {
             format!("{:.1}%", w.quanta_skipped as f64 / w.quanta_total as f64 * 100.0)
         };
         out.push_str(&format!(
-            "| `{}` | {:.2} | {:.2} | {:.2} | {:.2} | {} | {} | {} |\n",
+            "| `{}` | {:.2} | {:.2} | {:.2} | {:.2} | {} | {} |\n",
             w.name,
             w.total_secs,
             w.phase_secs("engine"),
@@ -414,7 +353,6 @@ pub fn wallclock_table(walls: &[TargetWall], threads: usize) -> String {
             w.phase_secs("trace_write"),
             w.quanta_total,
             skip_pct,
-            if w.cores == 0 { "—".to_string() } else { w.cores.to_string() },
         ));
     }
     let total: f64 = walls.iter().map(|w| w.total_secs).sum();
@@ -426,7 +364,7 @@ pub fn wallclock_table(walls: &[TargetWall], threads: usize) -> String {
         format!("{:.1}%", qs as f64 / qt as f64 * 100.0)
     };
     out.push_str(&format!(
-        "| **suite total** | **{:.2}** | {:.2} | {:.2} | {:.2} | {} | {} | |\n",
+        "| **suite total** | **{:.2}** | {:.2} | {:.2} | {:.2} | {} | {} |\n",
         total,
         walls.iter().map(|w| w.phase_secs("engine")).sum::<f64>(),
         walls.iter().map(|w| w.phase_secs("summary_write")).sum::<f64>(),
@@ -434,29 +372,6 @@ pub fn wallclock_table(walls: &[TargetWall], threads: usize) -> String {
         qt,
         skip_pct,
     ));
-    let multicore: Vec<&TargetWall> = walls.iter().filter(|w| !w.core_busy.is_empty()).collect();
-    if !multicore.is_empty() {
-        out.push_str(
-            "\n## Replay core utilization\n\n\
-             Real-thread replay of the recorded multi-core op plans: host \
-             time each core's OS thread spent holding page-state locks / \
-             allocator shards (`busy`) vs. spinning on them (`stall`), and \
-             the CAS retries it actually took. Host-speed dependent, so it \
-             lives here and not in REPORT.md.\n\n",
-        );
-        for w in multicore {
-            out.push_str(&format!("- `{}`:\n", w.name));
-            for c in &w.core_busy {
-                out.push_str(&format!(
-                    "  - core {}: busy {:.2} ms, stall {:.2} ms, {} CAS retries\n",
-                    c.core,
-                    c.busy_ns as f64 / 1e6,
-                    c.stall_ns as f64 / 1e6,
-                    c.cas_retries,
-                ));
-            }
-        }
-    }
     out
 }
 
@@ -845,14 +760,12 @@ mod tests {
             phases: vec![("engine".into(), 1.0)],
             quanta_total: 10,
             quanta_skipped: 5,
-            cores: 0,
-            core_busy: Vec::new(),
             corrupt,
         };
         let table = wallclock_table(&[wall("good", false), wall("bad", true)], 1);
         assert!(table.contains("| `good` | 1.25 | 1.00 |"), "{table}");
         assert!(
-            table.contains("| `bad` | 1.25 | n/a | n/a | n/a | n/a | n/a | n/a |"),
+            table.contains("| `bad` | 1.25 | n/a | n/a | n/a | n/a | n/a |"),
             "{table}"
         );
     }
@@ -898,8 +811,6 @@ mod tests {
                 phases: Vec::new(),
                 quanta_total: 1000,
                 quanta_skipped: 800,
-                cores: 0,
-                core_busy: Vec::new(),
                 corrupt: false,
             },
             TargetWall {
@@ -908,8 +819,6 @@ mod tests {
                 phases: Vec::new(),
                 quanta_total: 5000,
                 quanta_skipped: 4500,
-                cores: 0,
-                core_busy: Vec::new(),
                 corrupt: false,
             },
         ];

@@ -164,7 +164,7 @@ fn main() -> ExitCode {
     let ledger_dir = ledger_dir.unwrap_or_else(|| dir.join("ledger"));
     let mut walls: Vec<hawkeye_report::TargetWall> = Vec::new();
     if run {
-        let threads = threads.unwrap_or_else(hawkeye_bench::pool::worker_threads);
+        let threads = threads.unwrap_or_else(hawkeye_fleet::pool::worker_threads);
         eprintln!(
             "[hawkeye-report] running {} suite target(s) on {threads} worker(s)",
             targets.len()

@@ -25,14 +25,12 @@
 //! ```
 
 pub mod error;
-pub mod page_state;
 pub mod page_table;
 pub mod space;
 pub mod types;
 pub mod vma;
 
 pub use error::MapError;
-pub use page_state::PageStateWord;
 pub use page_table::{AccessSample, BaseEntry, HugeEntry, PageTable, Translation};
 pub use space::AddressSpace;
 pub use types::{Hvpn, PageSize, Vpn};

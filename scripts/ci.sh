@@ -98,7 +98,7 @@ cargo clippy -p hawkeye-metrics -p hawkeye-mem -p hawkeye-vm -p hawkeye-tlb \
 # residue (unhalted cycles the subsystem ledger failed to attribute).
 echo "==> cycle-attribution gate (traced table1 -> hawkeye-analyze --check)"
 results_dir="${HAWKEYE_BENCH_RESULTS:-${CARGO_TARGET_DIR:-target}/bench-results}"
-HAWKEYE_TRACE=1 cargo bench -p hawkeye-bench --bench table1_fault_latency
+HAWKEYE_TRACE=1 cargo bench -p hawkeye-bench --bench suite -- table1_fault_latency
 cargo run --release -q -p hawkeye-analyze -- --check \
     "$results_dir/table1_fault_latency.trace.json"
 
@@ -109,6 +109,13 @@ cargo run --release -q -p hawkeye-analyze -- --check \
 echo "==> touch-throughput smoke (--quick, HAWKEYE_BENCH_THREADS=${HAWKEYE_BENCH_THREADS:-auto})"
 suite_t0=$SECONDS
 cargo bench -p hawkeye-bench --bench touch_throughput -- --quick
+
+# Benchmark smoke: the standalone perf/ crate (BENCHMARK.json) has its own
+# workspace and path-depends on kernel/mem/vm/metrics, so the workspace
+# build above never compiles it. --quick runs every workload once at
+# reduced scale, so any API change that breaks it fails here.
+echo "==> hawkeye-perf smoke (--quick)"
+cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --quick
 
 # Paper-reproduction gate: run the full suite through hawkeye-report and
 # fail if any REPORT.md check lands outside its tolerance band (see
