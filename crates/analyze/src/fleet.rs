@@ -36,8 +36,7 @@ fn pct(row: &Value, key: &str) -> String {
 }
 
 /// Whether the cohort row has no completed epochs: its latency/overhead
-/// fields are vacuous zeros, not measurements (mirrors the wall-clock
-/// sidecar's `n/a` convention for never-sampled sections).
+/// fields are vacuous zeros, not measurements.
 fn idle_cohort(row: &Value) -> bool {
     row.get("faults").and_then(Value::as_u64) == Some(0)
 }

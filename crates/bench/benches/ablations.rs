@@ -7,10 +7,12 @@
 //!
 //! All four sections' scenarios run through one engine fan-out (12
 //! independent simulations); the sections are then printed as separate
-//! tables and written as one `ablations.json` with a `sections` array.
+//! tables and written as one `ablations.json` with a `sections` array
+//! and the scenarios' `cycles` section.
 
+use hawkeye_bench::json::write_results;
 use hawkeye_bench::{
-    dirty_free_memory, run_scenarios, secs, write_json, Json, PolicyKind, Report, Row, Scenario,
+    cycles_json, dirty_free_memory, secs, Json, PolicyKind, Report, Row, Run, Scenario,
 };
 use hawkeye_core::{BloatRecovery, HawkEye, HawkEyeConfig};
 use hawkeye_kernel::{workload::script, KernelConfig, Machine, MemOp, Simulator};
@@ -190,7 +192,8 @@ fn main() {
         counts.push(scen.len());
         all.extend(scen);
     }
-    let mut results = run_scenarios(all).into_iter();
+    let mut run = Run::new(hawkeye_fleet::pool::worker_threads(), false, false);
+    let mut results = run.scenarios(all).into_iter();
 
     let mut section_jsons = Vec::new();
     for ((title, cols), count) in titles_cols.into_iter().zip(counts) {
@@ -202,12 +205,14 @@ fn main() {
         section_jsons
             .push(Json::obj(vec![("section", Json::str(title)), ("rows", Json::Arr(row_jsons))]));
     }
-    write_json(
-        "ablations",
-        &Json::obj(vec![
-            ("target", Json::str("ablations")),
-            ("title", Json::str("DESIGN.md §6 ablations")),
-            ("sections", Json::Arr(section_jsons)),
-        ]),
-    );
+    let summary = Json::obj(vec![
+        ("target", Json::str("ablations")),
+        ("title", Json::str("DESIGN.md §6 ablations")),
+        ("sections", Json::Arr(section_jsons)),
+        ("cycles", cycles_json(&run.registries)),
+    ]);
+    match write_results("ablations", &summary) {
+        Ok(path) => eprintln!("[ablations] wrote {}", path.display()),
+        Err(e) => eprintln!("[ablations] could not write ablations.json: {e}"),
+    }
 }

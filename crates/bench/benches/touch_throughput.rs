@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 
-use hawkeye_bench::{run_one, run_scenarios, Json, PolicyKind, Report, Row, Scenario};
+use hawkeye_bench::{run_one, Json, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_kernel::{MemOp, Workload};
 use hawkeye_vm::{Vpn, VmaKind};
 use hawkeye_workloads::{DirtModel, PatternScan};
@@ -125,6 +125,7 @@ fn main() {
         "Touch throughput (simulator hot path; wall-clock on stderr)",
         vec!["Shape", "Touches"],
     );
-    report.extend(run_scenarios(scenarios));
-    report.finish();
+    let mut run = Run::new(hawkeye_fleet::pool::worker_threads(), false, false);
+    report.extend(run.scenarios(scenarios));
+    run.finish(report).print_and_write();
 }

@@ -89,7 +89,6 @@ fn main() {
         let t0 = Instant::now();
         let finish;
         if scoped {
-            hawkeye_trace::set_forced(true);
             hawkeye_metrics::registry::scope::begin();
             hawkeye_trace::scope::begin(hawkeye_trace::DEFAULT_CAPACITY);
             finish = run_pair(kind);

@@ -9,27 +9,23 @@
 //! preparation for the fast-fault experiments.
 //!
 //! Since the scenario-engine port, every target expresses its policy ×
-//! workload × config matrix as [`Scenario`]s: independent simulations fan
-//! out across cores via the in-tree worker pool
-//! ([`hawkeye_fleet::pool`]) and reassemble in submission order, so
+//! workload × config matrix as [`Scenario`]s run through a [`Run`]:
+//! independent simulations fan out across cores via the in-tree worker
+//! pool ([`hawkeye_fleet::pool`]) and reassemble in submission order, so
 //! output is byte-identical at any `HAWKEYE_BENCH_THREADS` setting while
-//! the suite's wall-clock scales with core count. [`Report`] prints the
-//! text table and writes the JSON summary
-//! (`target/bench-results/<target>.json`) every target now emits.
+//! the suite's wall-clock scales with core count. A target's run comes
+//! back as one [`TargetRun`] value — [`Report`] plus journals,
+//! registries and timings — which [`write_json_in`] persists
+//! (`target/bench-results/<target>.json` and its siblings).
 
 #![warn(missing_docs)]
 
 pub mod json;
 pub mod scenario;
 pub mod suite;
-pub mod wallclock;
 
 pub use json::Json;
-pub use scenario::{
-    cycles_json, queue_obs_doc, queue_trace_journals, run_scenarios, run_scenarios_capturing,
-    run_scenarios_with, take_metric_snapshots, take_queued_obs_docs, take_queued_trace_journals,
-    trace_json, write_json, write_json_in, Report, Row, Scenario,
-};
+pub use scenario::{cycles_json, trace_json, write_json_in, Report, Row, Run, Scenario, TargetRun};
 
 use hawkeye_core::{HawkEye, HawkEyeConfig};
 use hawkeye_kernel::{BasePagesOnly, HugePagePolicy, KernelConfig, Machine, Simulator, Workload};

@@ -4,12 +4,16 @@
 //!
 //! A scenario is a name plus a `Send` closure that builds and runs one
 //! simulation (or any other self-contained computation) and returns its
-//! result — usually a [`Row`]. [`run_scenarios`] executes the whole list
+//! result — usually a [`Row`]. [`Run::scenarios`] executes the whole list
 //! on the in-tree worker pool ([`hawkeye_fleet::pool`]) and returns
 //! results in submission order, so table output is byte-identical at any
-//! worker count. [`Report`] is the shared formatting tail: it prints the text
-//! table every target used to hand-roll and writes the machine-readable
-//! JSON summary to `target/bench-results/<target>.json`.
+//! worker count. The [`Run`] also keeps everything the scenarios produced
+//! beside their results — journals, cycle-attribution registries, the
+//! telemetry document, host-time phases — and hands it back as a
+//! [`TargetRun`] value: no artifact ever travels through process-global
+//! state. [`Report`] is the shared formatting tail: it renders the text
+//! table every target used to hand-roll and the machine-readable JSON
+//! summary [`write_json_in`] writes to `<dir>/<target>.json`.
 
 use crate::json::{self, Json};
 use crate::RunOutcome;
@@ -17,28 +21,9 @@ use hawkeye_fleet::pool::{self, Job};
 use hawkeye_kernel::Simulator;
 use hawkeye_metrics::{registry, Registry, Subsystem};
 use hawkeye_trace::{scope, Journal};
-use std::sync::Mutex;
+use std::panic::{self, AssertUnwindSafe};
+use std::path::Path;
 use std::time::Instant;
-
-/// Per-scenario journals collected by [`run_scenarios_with`] when
-/// `HAWKEYE_TRACE` is set (and by [`queue_trace_journals`] for targets
-/// that collect journals themselves, like `fleet_slo`), drained by
-/// [`write_json`] into `target/bench-results/<target>.trace.json`.
-/// Appended on the main thread in submission order, so trace output is
-/// deterministic at any worker count (same rule as table rows).
-static TRACE_JOURNALS: Mutex<Vec<(String, Journal)>> = Mutex::new(Vec::new());
-
-/// Per-scenario cycle-attribution registries, collected unconditionally
-/// (the registry's disabled-path guarantee means it cannot perturb the
-/// simulation) and drained by [`write_json`] into the summary's `cycles`
-/// section. Same submission-order rule as [`TRACE_JOURNALS`].
-static METRIC_SNAPSHOTS: Mutex<Vec<(String, Registry)>> = Mutex::new(Vec::new());
-
-/// Serialized telemetry documents queued by obs-enabled targets
-/// (`fleet_slo` evaluates its SLO rules and queues the result here),
-/// drained by [`write_json`] into `<dir>/<target>.obs.json`. At most one
-/// document is expected per target; the last queued wins.
-static OBS_DOCS: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
 /// One independent unit of a bench target: a named closure producing a
 /// result on a worker thread.
@@ -49,11 +34,11 @@ static OBS_DOCS: Mutex<Vec<String>> = Mutex::new(Vec::new());
 /// which is the whole byte-determinism story:
 ///
 /// ```
-/// use hawkeye_bench::{run_scenarios_with, Scenario};
+/// use hawkeye_bench::{Run, Scenario};
 ///
 /// let scenarios: Vec<Scenario<u64>> =
 ///     (0..4u64).map(|i| Scenario::new(format!("square {i}"), move || i * i)).collect();
-/// assert_eq!(run_scenarios_with(scenarios, 2), vec![0, 1, 4, 9]);
+/// assert_eq!(Run::new(2, false, false).scenarios(scenarios), vec![0, 1, 4, 9]);
 /// ```
 pub struct Scenario<T> {
     name: String,
@@ -97,165 +82,186 @@ impl<T: Send> Scenario<T> {
     }
 }
 
-/// Runs scenarios on [`pool::worker_threads`] workers; results come back
-/// in submission order.
-pub fn run_scenarios<T: Send + 'static>(scenarios: Vec<Scenario<T>>) -> Vec<T> {
-    run_scenarios_with(scenarios, pool::worker_threads())
+/// One target's run: how to run its scenarios, and everything they have
+/// produced so far. Targets receive a `&mut Run`; their artifacts
+/// accumulate here in submission order, so the output is deterministic
+/// at any worker count (same rule as table rows).
+pub struct Run {
+    /// Worker threads for [`Run::scenarios`].
+    pub threads: usize,
+    /// Record a per-scenario event journal (`<target>.trace.json`).
+    pub trace: bool,
+    /// Collect fleet telemetry (`<target>.obs.json`; `fleet_slo` only).
+    pub obs: bool,
+    /// Named event journals: one per traced scenario, plus any a target
+    /// collects itself (the fleet's sampled host journals).
+    pub journals: Vec<(String, Journal)>,
+    /// Per-scenario cycle-attribution registries, collected always (the
+    /// registry's disabled-path guarantee means it cannot perturb the
+    /// simulation); they become the summary's `cycles` section.
+    pub registries: Vec<(String, Registry)>,
+    /// The serialized telemetry document (one JSON object, no trailing
+    /// newline), when the target produced one.
+    pub obs_doc: Option<String>,
+    /// Host wall-clock per phase, in first-recorded order; repeated
+    /// charges to one phase accumulate. Never enters a deterministic
+    /// artifact.
+    pub phases: Vec<(&'static str, f64)>,
 }
 
-/// Runs scenarios on an explicit worker count (the determinism test pins
-/// 1 and 8 without touching the process environment). Wall-clock goes to
-/// stderr so stdout stays byte-identical across worker counts.
-///
-/// When `HAWKEYE_TRACE` is set, each scenario additionally records an
-/// event journal, queued for [`write_json`] to dump alongside the summary.
-pub fn run_scenarios_with<T: Send + 'static>(
-    scenarios: Vec<Scenario<T>>,
-    threads: usize,
-) -> Vec<T> {
-    let (results, journals, registries) =
-        run_scenarios_inner(scenarios, threads, hawkeye_trace::env_enabled());
-    if !journals.is_empty() {
-        if let Ok(mut q) = TRACE_JOURNALS.lock() {
-            q.extend(journals);
+impl Run {
+    /// An empty run on `threads` workers with tracing and telemetry as
+    /// given.
+    pub fn new(threads: usize, trace: bool, obs: bool) -> Run {
+        Run {
+            threads,
+            trace,
+            obs,
+            journals: Vec::new(),
+            registries: Vec::new(),
+            obs_doc: None,
+            phases: Vec::new(),
         }
     }
-    if !registries.is_empty() {
-        if let Ok(mut q) = METRIC_SNAPSHOTS.lock() {
-            q.extend(registries);
+
+    /// Charges `secs` of host wall-clock to `phase`.
+    pub fn phase(&mut self, phase: &'static str, secs: f64) {
+        match self.phases.iter_mut().find(|(p, _)| *p == phase) {
+            Some((_, total)) => *total += secs,
+            None => self.phases.push((phase, secs)),
         }
     }
-    results
-}
 
-/// Results plus the per-scenario artifacts captured alongside them: the
-/// event journals (named, in submission order, when tracing) and the
-/// cycle-attribution registries.
-pub type Captured<T> = (Vec<T>, Vec<(String, Journal)>, Vec<(String, Registry)>);
-
-/// Runs scenarios with tracing forced on (regardless of `HAWKEYE_TRACE`)
-/// and returns the per-scenario journals and cycle-attribution registries
-/// directly instead of queueing them for the JSON dump. Used by tests that
-/// assert on trace or registry contents.
-pub fn run_scenarios_capturing<T: Send + 'static>(
-    scenarios: Vec<Scenario<T>>,
-    threads: usize,
-) -> Captured<T> {
-    run_scenarios_inner(scenarios, threads, true)
-}
-
-/// Queues named journals for the next [`write_json`] to dump into the
-/// target's `.trace.json` — the path the fleet orchestrator uses: its
-/// hosts trace into their own detached buffers (not the engine's
-/// thread-local scope), so the `fleet_slo` target hands the sampled host
-/// journals over explicitly. Order is preserved; callers pass journals
-/// in a deterministic order to keep the artifact byte-stable.
-pub fn queue_trace_journals(journals: Vec<(String, Journal)>) {
-    if journals.is_empty() {
-        return;
-    }
-    if let Ok(mut q) = TRACE_JOURNALS.lock() {
-        q.extend(journals);
-    }
-}
-
-/// Queues a serialized telemetry document (the `<target>.obs.json`
-/// contents) for the next [`write_json`] to dump. Obs-enabled targets
-/// call this after evaluating their SLO rules.
-pub fn queue_obs_doc(doc: String) {
-    if let Ok(mut q) = OBS_DOCS.lock() {
-        q.push(doc);
-    }
-}
-
-/// Drains the telemetry documents queued by [`queue_obs_doc`] since the
-/// last drain ([`write_json`] calls this; tests may too).
-pub fn take_queued_obs_docs() -> Vec<String> {
-    match OBS_DOCS.lock() {
-        Ok(mut q) => std::mem::take(&mut *q),
-        Err(_) => Vec::new(),
-    }
-}
-
-/// Drains the cycle-attribution registries queued by [`run_scenarios_with`]
-/// since the last drain ([`write_json`] calls this; tests may too).
-pub fn take_metric_snapshots() -> Vec<(String, Registry)> {
-    match METRIC_SNAPSHOTS.lock() {
-        Ok(mut q) => std::mem::take(&mut *q),
-        Err(_) => Vec::new(),
-    }
-}
-
-/// Drains the journals queued by traced runs or
-/// [`queue_trace_journals`] since the last drain ([`write_json`] calls
-/// this; tests may too).
-pub fn take_queued_trace_journals() -> Vec<(String, Journal)> {
-    match TRACE_JOURNALS.lock() {
-        Ok(mut q) => std::mem::take(&mut *q),
-        Err(_) => Vec::new(),
-    }
-}
-
-fn run_scenarios_inner<T: Send + 'static>(
-    scenarios: Vec<Scenario<T>>,
-    threads: usize,
-    tracing: bool,
-) -> Captured<T> {
-    let n = scenarios.len();
-    let t0 = Instant::now();
-    // Each job runs start-to-finish on one worker thread, so thread-local
-    // scopes around it capture exactly that scenario's events and charges;
-    // `run_ordered` brings everything back in submission order with the
-    // results. The registry scope is always on — it never perturbs the
-    // simulation (the drift test pins this) and feeds the summary's
-    // `cycles` section; the trace scope costs a journal allocation per
-    // scenario and stays opt-in.
-    type Instrumented<T> = (T, Option<Journal>, Option<Registry>);
-    let names: Vec<String> = scenarios.iter().map(|s| s.name.clone()).collect();
-    let jobs: Vec<Job<Instrumented<T>>> = scenarios
-        .into_iter()
-        .map(|s| {
-            let job = s.job;
-            Box::new(move || {
-                registry::scope::begin();
-                if tracing {
-                    scope::begin(hawkeye_trace::DEFAULT_CAPACITY);
-                }
-                let result = job();
-                let journal = if tracing { scope::end() } else { None };
-                let mut reg = registry::scope::end();
-                // Ring-buffer overflow must not stay silent: surface the
-                // drop count as a registry counter (machine 0 = the
-                // scenario's first machine) so it reaches the summary's
-                // `cycles` section and REPORT.md can warn loudly.
-                if let (Some(j), Some(r)) = (journal.as_ref(), reg.as_mut()) {
-                    if j.dropped > 0 {
-                        r.machine_entry(0).add("trace.dropped_events", j.dropped);
+    /// Runs scenarios on [`Run::threads`] workers; results come back in
+    /// submission order. Each scenario's registry (and journal, when
+    /// tracing) is appended to this run. Wall-clock goes to stderr so
+    /// stdout stays byte-identical across worker counts.
+    ///
+    /// # Panics
+    ///
+    /// When a scenario panics, its siblings still finish; then this
+    /// panics with ``scenario `<name>` panicked: <message>`` naming the
+    /// first failed scenario in submission order.
+    pub fn scenarios<T: Send + 'static>(&mut self, scenarios: Vec<Scenario<T>>) -> Vec<T> {
+        let n = scenarios.len();
+        let t0 = Instant::now();
+        let tracing = self.trace;
+        // Each job runs start-to-finish on one worker thread, so
+        // thread-local scopes around it capture exactly that scenario's
+        // events and charges; `run_ordered` brings everything back in
+        // submission order with the results. A panic is caught here, per
+        // job, so it cannot poison the pool's slots or lose the siblings'
+        // results.
+        type Instrumented<T> = (Result<T, String>, Option<Journal>, Option<Registry>);
+        let names: Vec<String> = scenarios.iter().map(|s| s.name.clone()).collect();
+        let jobs: Vec<Job<Instrumented<T>>> = scenarios
+            .into_iter()
+            .map(|s| {
+                let job = s.job;
+                Box::new(move || {
+                    registry::scope::begin();
+                    if tracing {
+                        scope::begin(hawkeye_trace::DEFAULT_CAPACITY);
                     }
+                    let result = panic::catch_unwind(AssertUnwindSafe(job)).map_err(panic_message);
+                    let journal = if tracing { scope::end() } else { None };
+                    let mut reg = registry::scope::end();
+                    // Ring-buffer overflow must not stay silent: surface the
+                    // drop count as a registry counter (machine 0 = the
+                    // scenario's first machine) so it reaches the summary's
+                    // `cycles` section and REPORT.md can warn loudly.
+                    if let (Some(j), Some(r)) = (journal.as_ref(), reg.as_mut()) {
+                        if j.dropped > 0 {
+                            r.machine_entry(0).add("trace.dropped_events", j.dropped);
+                        }
+                    }
+                    (result, journal, reg)
+                }) as Job<Instrumented<T>>
+            })
+            .collect();
+        let mut results = Vec::with_capacity(n);
+        let mut failed = None;
+        for (name, (result, journal, reg)) in
+            names.into_iter().zip(pool::run_ordered(jobs, self.threads))
+        {
+            match result {
+                Ok(r) => results.push(r),
+                Err(msg) => {
+                    failed.get_or_insert(format!("scenario `{name}` panicked: {msg}"));
                 }
-                (result, journal, reg)
-            }) as Job<Instrumented<T>>
-        })
-        .collect();
-    let mut results = Vec::with_capacity(n);
-    let mut journals = Vec::new();
-    let mut registries = Vec::new();
-    for (name, (result, journal, reg)) in names.into_iter().zip(pool::run_ordered(jobs, threads)) {
-        results.push(result);
-        if let Some(j) = journal {
-            journals.push((name.clone(), j));
+            }
+            if let Some(j) = journal {
+                self.journals.push((name.clone(), j));
+            }
+            if let Some(r) = reg {
+                self.registries.push((name, r));
+            }
         }
-        if let Some(r) = reg {
-            registries.push((name, r));
+        if let Some(msg) = failed {
+            panic!("{msg}");
+        }
+        let elapsed = t0.elapsed().as_secs_f64();
+        self.phase("engine", elapsed);
+        eprintln!(
+            "[scenario-engine] {n} scenario(s) on {} worker(s) in {elapsed:.2}s",
+            self.threads.min(n.max(1)),
+        );
+        results
+    }
+
+    /// Wraps a finished report with everything this run collected.
+    /// Quanta stay zero; [`crate::suite::Target::run`] measures them.
+    pub fn finish(self, report: Report) -> TargetRun {
+        TargetRun {
+            report,
+            journals: self.journals,
+            registries: self.registries,
+            obs_doc: self.obs_doc,
+            phases: self.phases,
+            quanta_total: 0,
+            quanta_skipped: 0,
         }
     }
-    let elapsed = t0.elapsed().as_secs_f64();
-    crate::wallclock::record("engine", elapsed);
-    eprintln!(
-        "[scenario-engine] {n} scenario(s) on {} worker(s) in {elapsed:.2}s",
-        threads.min(n.max(1)),
-    );
-    (results, journals, registries)
+}
+
+/// The text of a caught panic payload (`panic!` with a literal or a
+/// formatted message); anything else is reported as opaque.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(payload) => match payload.downcast::<&str>() {
+            Ok(s) => s.to_string(),
+            Err(_) => "non-string panic payload".to_string(),
+        },
+    }
+}
+
+/// Everything one target's run produced: the report plus its artifacts
+/// and the host-side counters WALLCLOCK.md and the perf ledger read.
+pub struct TargetRun {
+    /// The target's table and summary.
+    pub report: Report,
+    /// Named event journals, in submission order.
+    pub journals: Vec<(String, Journal)>,
+    /// Per-scenario cycle-attribution registries, in submission order.
+    pub registries: Vec<(String, Registry)>,
+    /// The serialized telemetry document, if any.
+    pub obs_doc: Option<String>,
+    /// Host wall-clock per phase (`engine`, ...).
+    pub phases: Vec<(&'static str, f64)>,
+    /// Scheduler quanta elapsed across the target's simulations.
+    pub quanta_total: u64,
+    /// Quanta the event-skip scheduler charged in closed form.
+    pub quanta_skipped: u64,
+}
+
+impl TargetRun {
+    /// Prints the report's text to stdout and writes every artifact
+    /// under [`json::results_dir`].
+    pub fn print_and_write(&self) {
+        print!("{}", self.report.text());
+        write_json_in(&json::results_dir(), self);
+    }
 }
 
 /// Serializes the `.trace.json` document for one target straight into a
@@ -552,91 +558,55 @@ impl Report {
         ])
     }
 
-    /// Prints the text to stdout and writes the JSON summary. The write
-    /// path (or failure) is reported on stderr only, keeping stdout
-    /// deterministic.
-    pub fn finish(self) {
-        print!("{}", self.text());
-        write_json(self.target, &self.json());
+    /// The bench-target name (the artifact file stem).
+    pub fn target(&self) -> &'static str {
+        self.target
     }
 }
 
-/// Writes one JSON summary file, reporting the outcome on stderr.
-/// Multi-section targets (ablations) assemble their own [`Json`] and call
-/// this once.
-pub fn write_json(target: &str, json: &Json) {
-    write_json_in(&json::results_dir(), target, json);
-}
-
-/// The explicit-dir variant of [`write_json`]: drains the metric and
-/// trace queues into `<dir>/<target>.json` / `<dir>/<target>.trace.json`.
-/// `hawkeye-report` uses this to collect the whole suite's artifacts in
-/// one place without mutating process environment.
-pub fn write_json_in(dir: &std::path::Path, target: &str, json: &Json) {
+/// Writes one target's artifacts from its [`TargetRun`]:
+/// `<dir>/<target>.json` (the summary, plus a `cycles` section when any
+/// scenario returned a registry), `<dir>/<target>.trace.json` when it
+/// has journals, and `<dir>/<target>.obs.json` when it has a telemetry
+/// document. Outcomes go to stderr only — a read-only checkout still
+/// gets its tables. Returns the host seconds spent per write phase
+/// (`summary_write`, `trace_write`).
+pub fn write_json_in(dir: &Path, run: &TargetRun) -> Vec<(&'static str, f64)> {
+    let target = run.report.target();
+    let mut phases = Vec::new();
     let t0 = Instant::now();
-    let snapshots = take_metric_snapshots();
-    let json = if snapshots.is_empty() {
-        json.clone()
-    } else {
-        let mut j = json.clone();
-        j.push("cycles", cycles_json(&snapshots));
-        j
-    };
-    match json::write_results_in(dir, target, &json) {
-        Ok(path) => eprintln!("[scenario-engine] wrote {}", path.display()),
-        Err(e) => eprintln!("[scenario-engine] could not write {target}.json: {e}"),
+    let mut summary = run.report.json();
+    if !run.registries.is_empty() {
+        summary.push("cycles", cycles_json(&run.registries));
     }
-    crate::wallclock::record("summary_write", t0.elapsed().as_secs_f64());
-    write_trace_results(dir, target);
-    write_obs_results(dir, target);
-    // Dump the host-side timing sidecar last: it collects the phases the
-    // lines above just recorded (plus the engine phase) without ever
-    // touching the deterministic artifacts.
-    crate::wallclock::write_in(dir, target);
-}
-
-/// Dumps the journals queued by traced runs (if any) to
-/// `<dir>/<target>.trace.json`. A no-op when tracing was off; stdout is
-/// untouched either way.
-fn write_trace_results(dir: &std::path::Path, target: &str) {
-    let journals = take_queued_trace_journals();
-    if journals.is_empty() {
-        return;
-    }
-    let t0 = Instant::now();
-    let stem = format!("{target}.trace");
-    let mut doc = trace_doc_string(target, &journals);
-    doc.push('\n');
-    let write = || -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{stem}.json"));
-        std::fs::write(&path, doc)?;
-        Ok(path)
-    };
-    match write() {
-        Ok(path) => eprintln!("[scenario-engine] wrote {}", path.display()),
-        Err(e) => eprintln!("[scenario-engine] could not write {stem}.json: {e}"),
-    }
-    crate::wallclock::record("trace_write", t0.elapsed().as_secs_f64());
-}
-
-/// Dumps the telemetry document queued by [`queue_obs_doc`] (if any) to
-/// `<dir>/<target>.obs.json`. A no-op when telemetry was off.
-fn write_obs_results(dir: &std::path::Path, target: &str) {
-    let Some(mut doc) = take_queued_obs_docs().pop() else {
-        return;
-    };
-    if !doc.ends_with('\n') {
+    report_write(json::write_results_in(dir, target, &summary), target);
+    phases.push(("summary_write", t0.elapsed().as_secs_f64()));
+    if !run.journals.is_empty() {
+        let t0 = Instant::now();
+        let stem = format!("{target}.trace");
+        let mut doc = trace_doc_string(target, &run.journals);
         doc.push('\n');
+        report_write(write_text(dir, &stem, doc), &stem);
+        phases.push(("trace_write", t0.elapsed().as_secs_f64()));
     }
-    let stem = format!("{target}.obs");
-    let write = || -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{stem}.json"));
-        std::fs::write(&path, doc)?;
-        Ok(path)
-    };
-    match write() {
+    if let Some(doc) = &run.obs_doc {
+        let stem = format!("{target}.obs");
+        report_write(write_text(dir, &stem, format!("{doc}\n")), &stem);
+    }
+    phases
+}
+
+/// Writes `<dir>/<stem>.json` verbatim.
+fn write_text(dir: &Path, stem: &str, doc: String) -> std::io::Result<std::path::PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!("{stem}.json"));
+    std::fs::write(&path, doc)?;
+    Ok(path)
+}
+
+/// Reports one artifact write on stderr, keeping stdout deterministic.
+fn report_write(result: std::io::Result<std::path::PathBuf>, stem: &str) {
+    match result {
         Ok(path) => eprintln!("[scenario-engine] wrote {}", path.display()),
         Err(e) => eprintln!("[scenario-engine] could not write {stem}.json: {e}"),
     }
@@ -793,10 +763,37 @@ mod tests {
                 })
                 .collect()
         };
-        let serial = run_scenarios_with(build(), 1);
-        let parallel = run_scenarios_with(build(), 4);
+        let serial = Run::new(1, false, false).scenarios(build());
+        let parallel = Run::new(4, false, false).scenarios(build());
         assert_eq!(serial, parallel);
         assert_eq!(serial, vec![128, 256, 384, 512, 640, 768]);
+    }
+
+    #[test]
+    fn a_panicking_scenario_names_itself_and_its_siblings_finish() {
+        for threads in [1, 4] {
+            let finished = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let scenarios: Vec<Scenario<u64>> = (0..6u64)
+                .map(|i| {
+                    let finished = finished.clone();
+                    Scenario::new(format!("s{i}"), move || {
+                        assert!(i != 3, "injected failure {i}");
+                        finished.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        i
+                    })
+                })
+                .collect();
+            let mut run = Run::new(threads, false, false);
+            let err = panic::catch_unwind(AssertUnwindSafe(|| run.scenarios(scenarios)))
+                .expect_err("the failure must reach the caller");
+            assert_eq!(
+                panic_message(err),
+                "scenario `s3` panicked: injected failure 3",
+                "threads={threads}"
+            );
+            assert_eq!(finished.load(std::sync::atomic::Ordering::Relaxed), 5, "threads={threads}");
+            assert_eq!(run.registries.len(), 6, "threads={threads}: every scope closed");
+        }
     }
 
     #[test]

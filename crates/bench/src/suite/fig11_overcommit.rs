@@ -6,7 +6,7 @@
 //! async pre-zeroing plus host same-page merging matching ballooning's
 //! throughput (2.3× for Redis) without any paravirtual interface.
 
-use crate::{run_scenarios_with, Json, PolicyKind, Report, Row, Scenario};
+use crate::{Json, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_core::{HawkEye, HawkEyeConfig};
 use hawkeye_kernel::{HugePagePolicy, Workload};
 use hawkeye_policies::LinuxThp;
@@ -50,7 +50,7 @@ fn guest_policy(hawkeye: bool) -> Box<dyn HugePagePolicy> {
     }
 }
 
-fn run(c: Config) -> (Vec<f64>, u64, u64) {
+fn simulate(c: Config) -> (Vec<f64>, u64, u64) {
     let vcfg = VirtConfig {
         ksm: c.ksm,
         balloon: c.balloon,
@@ -90,7 +90,7 @@ fn run(c: Config) -> (Vec<f64>, u64, u64) {
 }
 
 /// Builds the `fig11` report: overcommitted VMs under pre-zeroing + host KSM.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: &mut Run) -> Report {
     let configs = [
         Config {
             label: "no balloon, Linux guests",
@@ -119,11 +119,11 @@ pub fn report(threads: usize) -> Report {
         .map(|c| {
             Scenario::new(c.label, {
                 let c = *c;
-                move || run(c)
+                move || simulate(c)
             })
         })
         .collect();
-    let results = run_scenarios_with(scenarios, threads);
+    let results = run.scenarios(scenarios);
     let base = &results[0];
 
     let mut report = Report::new(

@@ -6,7 +6,7 @@
 //! drive Linux and Ingens out of memory while HawkEye recovers bloat and
 //! survives. Scaled here 256×: 176 MiB machine, 160 MiB dataset.
 
-use crate::{format_series, run_scenarios_with, Json, PolicyKind, Report, Row, Scenario};
+use crate::{format_series, Json, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_kernel::Simulator;
 use hawkeye_metrics::Cycles;
 use hawkeye_workloads::{RedisKv, RedisOp};
@@ -44,7 +44,7 @@ fn redis_script() -> Vec<RedisOp> {
 }
 
 /// Builds the `fig1` report: Redis resident memory across insert/delete/insert phases.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: &mut Run) -> Report {
     let scenarios: Vec<Scenario<Row>> = [
         PolicyKind::Linux2m,
         PolicyKind::Ingens,
@@ -101,7 +101,7 @@ pub fn report(threads: usize) -> Report {
             "OOM?",
         ],
     );
-    report.extend(run_scenarios_with(scenarios, threads));
+    report.extend(run.scenarios(scenarios));
     report.footer(
         "(paper, Fig. 1: Linux and Ingens hit OOM at 28 GB / 20 GB bloat;\n\
          HawkEye recovers bloat under pressure and completes)",

@@ -5,11 +5,11 @@
 //! Here we sample each workload family's content model and print the
 //! empirical means alongside the paper's suite averages.
 
-use crate::{run_scenarios_with, Json, Report, Row, Scenario};
+use crate::{Json, Report, Row, Run, Scenario};
 use hawkeye_workloads::DirtModel;
 
 /// Builds the `fig3` report: average distance to the first non-zero byte in 4 KB pages.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: &mut Run) -> Report {
     // (family, configured mean, paper context)
     let families: Vec<(&'static str, f64)> = vec![
         ("spec-cpu2006", 11.0),
@@ -43,7 +43,7 @@ pub fn report(threads: usize) -> Report {
             })
         })
         .collect();
-    let results = run_scenarios_with(scenarios, threads);
+    let results = run.scenarios(scenarios);
     let grand: f64 = results.iter().map(|(_, emp)| emp).sum();
     let avg = grand / count as f64;
 

@@ -6,7 +6,7 @@
 //! highest non-empty bucket with round-robin among tied processes,
 //! producing the order `A1,B1,C1,C2,B2,C3,C4,B3,B4,A2,C5,A3`.
 
-use crate::{run_scenarios_with, Json, Report, Row, Scenario};
+use crate::{Json, Report, Row, Run, Scenario};
 use hawkeye_core::AccessMap;
 use hawkeye_vm::Hvpn;
 use std::collections::BTreeMap;
@@ -123,12 +123,12 @@ fn scenario() -> Scenario<Row> {
 }
 
 /// Builds the `fig4` report: the `access_map` bucket structure and promotion ordering.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: &mut Run) -> Report {
     let mut report = Report::new(
         "fig4_access_map",
         "Fig. 4: access_map promotion order",
         vec![], // free-text figure, no table
     );
-    report.extend(run_scenarios_with(vec![scenario()], threads));
+    report.extend(run.scenarios(vec![scenario()]));
     report
 }

@@ -8,7 +8,7 @@
 //! 22 % over never-promoting, 6.7× (G) / 44× (PMU) better time saved per
 //! promotion than Linux on XSBench.
 
-use crate::{run_one, run_scenarios_with, secs, spd, Json, PolicyKind, Report, Row, Scenario};
+use crate::{run_one, secs, spd, Json, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_kernel::Workload;
 use hawkeye_workloads::{HotspotWorkload, NpbKernel};
 
@@ -31,7 +31,7 @@ const KINDS: [PolicyKind; 5] = [
 ];
 
 /// Builds the `fig5` report: speedup from huge-page promotion after fragmentation.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: &mut Run) -> Report {
     // Every (workload, policy) cell is an independent simulation; the
     // speedup column is assembled afterwards from the ordered results.
     let scenarios: Vec<Scenario<(f64, u64)>> = NAMES
@@ -46,7 +46,7 @@ pub fn report(threads: usize) -> Report {
             })
         })
         .collect();
-    let results = run_scenarios_with(scenarios, threads);
+    let results = run.scenarios(scenarios);
 
     let mut report = Report::new(
         "fig5_promotion_efficiency",

@@ -7,7 +7,7 @@
 //! and is order-independent — the paper measures 15–60 % speedups for the
 //! sensitive apps under HawkEye in both orders.
 
-use crate::{run_scenarios_with, spd, Json, PolicyKind, Report, Row, Scenario};
+use crate::{spd, Json, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_kernel::{Simulator, Workload};
 use hawkeye_metrics::Cycles;
 use hawkeye_workloads::{HotspotWorkload, NpbKernel, RedisKv};
@@ -62,7 +62,7 @@ const KINDS: [PolicyKind; 5] = [
 ];
 
 /// Builds the `fig8` report: a TLB-sensitive tenant next to a lightly-loaded one.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: &mut Run) -> Report {
     // One scenario per (workload, policy, launch order) — 30 independent
     // pair simulations, fanned across cores.
     let scenarios: Vec<Scenario<f64>> = NAMES
@@ -83,7 +83,7 @@ pub fn report(threads: usize) -> Report {
             })
         })
         .collect();
-    let results = run_scenarios_with(scenarios, threads);
+    let results = run.scenarios(scenarios);
 
     let mut report = Report::new(
         "fig8_heterogeneous",

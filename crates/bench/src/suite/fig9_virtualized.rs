@@ -6,7 +6,7 @@
 //! actually map huge contribute. The paper measures 18–90 % speedups over
 //! all-Linux; the `both` configuration wins.
 
-use crate::{run_scenarios_with, secs, spd, Json, PolicyKind, Report, Row, Scenario};
+use crate::{secs, spd, Json, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_core::{HawkEye, HawkEyeConfig};
 use hawkeye_kernel::{HugePagePolicy, Workload};
 use hawkeye_policies::LinuxThp;
@@ -30,7 +30,7 @@ fn policy(hawkeye: bool) -> Box<dyn HugePagePolicy> {
 
 /// Table 6-style setup: one VM with the measured workload (fragmented
 /// host and guest), HawkEye optionally at either layer.
-fn run(name: &str, host_hawkeye: bool, guest_hawkeye: bool) -> f64 {
+fn simulate(name: &str, host_hawkeye: bool, guest_hawkeye: bool) -> f64 {
     let mut cfg = PolicyKind::Linux2m.config(1024);
     cfg.cross_merge = !host_hawkeye;
     let mut sys = VirtSystem::new(cfg, policy(host_hawkeye));
@@ -54,7 +54,7 @@ const CONFIGS: [(&str, bool, bool); 4] = [
 ];
 
 /// Builds the `fig9_table6` report: virtualized speedups, host and guest policies crossed.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: &mut Run) -> Report {
     // One scenario per (workload, layer config): 8 independent two-level
     // systems. Speedups are assembled from the ordered results.
     let names = ["cg.D", "graph500"];
@@ -63,11 +63,11 @@ pub fn report(threads: usize) -> Report {
         .flat_map(|name| {
             CONFIGS.iter().map(move |(cname, host, guest)| {
                 let (name, host, guest) = (*name, *host, *guest);
-                Scenario::new(format!("{name} {cname}"), move || run(name, host, guest))
+                Scenario::new(format!("{name} {cname}"), move || simulate(name, host, guest))
             })
         })
         .collect();
-    let results = run_scenarios_with(scenarios, threads);
+    let results = run.scenarios(scenarios);
 
     let mut report = Report::new(
         "fig9_virtualized",

@@ -8,10 +8,10 @@
 //! latency, aggregate MMU overhead, RSS headroom — plus the tenancy and
 //! steering counters that prove the storms and the hook actually fired.
 //! Sampled host journals ride into `fleet_slo.trace.json` through the
-//! scenario engine's artifact queue.
+//! target's [`Run`].
 
-use crate::{pct, Json, PolicyKind, Report, Row};
-use hawkeye_fleet::{run_observed, CohortSpec, FleetConfig, NoopHook, ThrottleUnderPressure};
+use crate::{pct, Json, PolicyKind, Report, Row, Run};
+use hawkeye_fleet::{CohortSpec, FleetConfig, NoopHook, ThrottleUnderPressure};
 use hawkeye_kernel::{HugePagePolicy, KernelConfig};
 use hawkeye_obs::ObsDoc;
 use hawkeye_trace::Journal;
@@ -62,25 +62,19 @@ pub fn cohorts() -> Vec<CohortSpec> {
     ]
 }
 
-/// Runs the fleet at an explicit shape — the determinism test and the CI
-/// smoke gate use small fleets; [`report`] uses [`FleetConfig::slo`].
-/// Telemetry collection follows the process-global [`hawkeye_obs::enabled`]
-/// gate; tests pin it through [`report_with_obs`].
-pub fn report_with(cfg: &FleetConfig, threads: usize) -> Report {
-    report_with_obs(cfg, threads, hawkeye_obs::enabled())
-}
-
-/// [`report_with`] with telemetry pinned by `observe`. When on, the
-/// fleet's per-cohort accumulators are finalized into time series,
-/// evaluated against the default burn-rate rules, queued as the
+/// Runs the fleet at an explicit shape — the determinism tests and the
+/// CI smoke gate use small fleets; [`report`] uses [`FleetConfig::slo`].
+/// The sampled host journals always go into `run`. With `run.obs` on,
+/// the fleet's per-cohort accumulators are finalized into time series,
+/// evaluated against the default burn-rate rules and stored as the
 /// `fleet_slo.obs.json` document, and the SLO transitions ride into the
 /// trace doc as a synthetic `obs/slo` journal of typed
-/// `slo_breach`/`slo_recover` events. When off, nothing here runs and
+/// `slo_breach`/`slo_recover` events. With it off, nothing here runs and
 /// every artifact is bit-identical to the pre-telemetry pipeline.
-pub fn report_with_obs(cfg: &FleetConfig, threads: usize, observe: bool) -> Report {
+pub fn report_with(cfg: &FleetConfig, run: &mut Run) -> Report {
     let t0 = Instant::now();
-    let mut result = run_observed(cfg, &cohorts(), threads, observe);
-    crate::wallclock::record("engine", t0.elapsed().as_secs_f64());
+    let mut result = hawkeye_fleet::run(cfg, &cohorts(), run.threads, run.obs);
+    run.phase("engine", t0.elapsed().as_secs_f64());
     if let Some(obs) = &result.obs {
         let series = result
             .cohorts
@@ -93,9 +87,9 @@ pub fn report_with_obs(cfg: &FleetConfig, threads: usize, observe: bool) -> Repo
         if !records.is_empty() {
             result.journals.push(("obs/slo".to_string(), Journal { records, dropped: 0 }));
         }
-        crate::scenario::queue_obs_doc(obs_doc_json(&doc).to_string());
+        run.obs_doc = Some(obs_doc_json(&doc).to_string());
     }
-    crate::scenario::queue_trace_journals(std::mem::take(&mut result.journals));
+    run.journals.append(&mut result.journals);
 
     let mut report = Report::new(
         "fleet_slo",
@@ -155,8 +149,8 @@ pub fn report_with_obs(cfg: &FleetConfig, threads: usize, observe: bool) -> Repo
 }
 
 /// The standard `fleet_slo` target: 1024 hosts per cohort.
-pub fn report(threads: usize) -> Report {
-    report_with(&FleetConfig::slo(), threads)
+pub fn report(run: &mut Run) -> Report {
+    report_with(&FleetConfig::slo(), run)
 }
 
 /// Serializes an [`ObsDoc`] with the key order `hawkeye-analyze`'s
@@ -247,62 +241,51 @@ fn obs_doc_json(doc: &ObsDoc) -> Json {
 mod tests {
     use super::*;
 
-    /// Both tests drain the process-global artifact queues; serialize
-    /// them so parallel test runs don't steal each other's journals.
-    static QUEUES: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
-    fn observed_report_queues_doc_and_matches_unobserved_rows() {
-        let _q = QUEUES.lock().unwrap_or_else(|e| e.into_inner());
+    fn observed_report_keeps_doc_and_matches_unobserved_rows() {
         let mut cfg = FleetConfig::sized(8);
         cfg.epochs = 4;
-        let plain = report_with_obs(&cfg, 2, false);
-        let plain_journals = crate::scenario::take_queued_trace_journals();
-        assert!(crate::scenario::take_queued_obs_docs().is_empty());
+        let mut plain = Run::new(2, false, false);
+        let plain_report = report_with(&cfg, &mut plain);
+        assert!(plain.obs_doc.is_none());
 
-        let observed = report_with_obs(&cfg, 2, true);
-        let observed_journals = crate::scenario::take_queued_trace_journals();
-        let docs = crate::scenario::take_queued_obs_docs();
+        let mut observed = Run::new(2, false, true);
+        let observed_report = report_with(&cfg, &mut observed);
 
         // Zero drift: the report table is bit-identical with obs on.
-        assert_eq!(plain.json().to_string(), observed.json().to_string());
+        assert_eq!(plain_report.json().to_string(), observed_report.json().to_string());
         // Host journals are untouched; obs may append one synthetic
         // `obs/slo` journal at the end.
-        assert_eq!(&observed_journals[..plain_journals.len()], &plain_journals[..]);
-        for (name, _) in &observed_journals[plain_journals.len()..] {
+        assert_eq!(&observed.journals[..plain.journals.len()], &plain.journals[..]);
+        for (name, _) in &observed.journals[plain.journals.len()..] {
             assert_eq!(name, "obs/slo");
         }
 
-        // The queued doc has both cohorts with one point per epoch.
-        assert_eq!(docs.len(), 1);
-        let doc = &docs[0];
+        // The doc has both cohorts with one point per epoch.
+        let doc = observed.obs_doc.expect("observed run keeps its doc");
         assert!(doc.starts_with(r#"{"target":"fleet_slo","schema_version":"#));
         assert!(doc.contains(r#""cohort":"HawkEye-G+throttle""#));
         assert!(doc.contains(r#""cohort":"Linux-2MB+noop""#));
         assert_eq!(doc.matches(r#"{"epoch":"#).count(), 2 * cfg.epochs as usize);
 
-        // Determinism: 8 workers and a rerun produce the same bytes.
-        let _ = report_with_obs(&cfg, 8, true);
-        let _ = crate::scenario::take_queued_trace_journals();
-        let redocs = crate::scenario::take_queued_obs_docs();
-        assert_eq!(redocs, docs);
+        // Determinism: 8 workers produce the same bytes.
+        let mut rerun = Run::new(8, false, true);
+        report_with(&cfg, &mut rerun);
+        assert_eq!(rerun.obs_doc, Some(doc));
     }
 
     #[test]
     fn small_fleet_report_has_both_cohorts_and_steering() {
-        let _q = QUEUES.lock().unwrap_or_else(|e| e.into_inner());
         let mut cfg = FleetConfig::sized(8);
         cfg.epochs = 4;
-        let r = report_with(&cfg, 2);
+        let mut run = Run::new(2, false, false);
+        let r = report_with(&cfg, &mut run);
         assert_eq!(r.rows().len(), 2);
         assert_eq!(r.rows()[0].cells[0], "HawkEye-G+throttle");
         assert_eq!(r.rows()[1].cells[1], "noop");
-        // The journals queued for the artifact dump; drain so this test
-        // leaves the process-global queue clean for other tests.
         let json = r.json().to_string();
         assert!(json.contains("\"p99_fault_us\""));
         assert!(json.contains("\"steer_decisions\""));
-        let drained = crate::scenario::take_queued_trace_journals();
-        assert_eq!(drained.len(), 2 * cfg.journal_hosts);
+        assert_eq!(run.journals.len(), 2 * cfg.journal_hosts);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Every bench target that reproduces a table or figure from the paper
 //! (the rows of DESIGN.md §4's experiment index) lives here as a module
-//! with a single `pub fn report(threads: usize) -> Report` entry point.
+//! with a single `pub fn report(run: &mut Run) -> Report` entry point.
 //! The one `suite` bench runs any of them by name through [`select`] and
-//! [`run_main`]:
+//! [`Target::run`]:
 //!
 //! ```text
 //! cargo bench -p hawkeye-bench --bench suite -- table1_fault_latency fig5_promotion_efficiency
@@ -41,7 +41,7 @@ pub mod table7_bloat_recovery;
 pub mod table8_fast_faults;
 pub mod table9_pmu_vs_g;
 
-use crate::Report;
+use crate::{Report, Run, TargetRun};
 
 /// One runnable paper experiment: a row of DESIGN.md §4's index.
 pub struct Target {
@@ -50,9 +50,25 @@ pub struct Target {
     pub name: &'static str,
     /// The paper artifact this target reproduces ("Table 1", "Fig 5", …).
     pub paper: &'static str,
-    /// Builds and runs the experiment on `threads` pool workers and
-    /// returns its [`Report`] (not yet printed or persisted).
-    pub build: fn(usize) -> Report,
+    /// Builds and runs the experiment through `run` and returns its
+    /// [`Report`]; the artifacts accumulate in `run`.
+    pub build: fn(&mut Run) -> Report,
+}
+
+impl Target {
+    /// Runs the experiment and returns everything it produced. The quanta
+    /// are the process-wide scheduler-counter delta around the build,
+    /// exact as long as no other target runs at the same time.
+    pub fn run(&self, mut run: Run) -> TargetRun {
+        let (total0, skipped0) = hawkeye_kernel::sched_stats::snapshot();
+        let report = (self.build)(&mut run);
+        let (total1, skipped1) = hawkeye_kernel::sched_stats::snapshot();
+        TargetRun {
+            quanta_total: total1 - total0,
+            quanta_skipped: skipped1 - skipped0,
+            ..run.finish(report)
+        }
+    }
 }
 
 /// All paper experiments, in DESIGN.md §4 order (tables, then figures).
@@ -203,13 +219,6 @@ where
         picked = TARGETS.iter().collect();
     }
     Ok(picked)
-}
-
-/// Runs `target` on the configured worker count
-/// ([`hawkeye_fleet::pool::worker_threads`]), printing its table and
-/// persisting its summary and journal.
-pub fn run_main(target: &Target) {
-    (target.build)(hawkeye_fleet::pool::worker_threads()).finish();
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! (exec time, faults and promotions are identical in every row of a
 //! policy; the differential test enforces it bit-for-bit).
 
-use crate::{run_scenarios_with, secs, Json, PolicyKind, Report, Row, Scenario};
+use crate::{secs, Json, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_kernel::multicore::CoreRole;
 use hawkeye_kernel::workload::script;
 use hawkeye_kernel::{MemOp, Simulator};
@@ -61,7 +61,7 @@ fn contending_workload(tag: String) -> Box<dyn hawkeye_kernel::Workload> {
 }
 
 /// Builds the `multicore_contention` report: lock contention as simulated cores scale.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: &mut Run) -> Report {
     let mut scenarios: Vec<Scenario<Row>> = Vec::new();
     for kind in [PolicyKind::HawkEyeG, PolicyKind::Linux2m] {
         for cores in [1u32, 2, 4, 8] {
@@ -138,7 +138,7 @@ pub fn report(threads: usize) -> Report {
             "daemon share",
         ],
     );
-    report.extend(run_scenarios_with(scenarios, threads));
+    report.extend(run.scenarios(scenarios));
     report.footer(
         "(aggregate work — exec, faults, promos — is pinned exactly across core counts;\n contention columns come from the deterministic replay and are 0 at 1 core)",
     );
@@ -148,11 +148,10 @@ pub fn report(threads: usize) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_scenarios_capturing;
 
     #[test]
     fn aggregates_pinned_and_contention_appears() {
-        let report = report(2);
+        let report = report(&mut Run::new(2, false, false));
         let rows = report.rows();
         assert_eq!(rows.len(), 8, "2 policies x 4 core counts");
         // Within each policy, exec/faults/promos identical across cores.
@@ -185,9 +184,10 @@ mod tests {
             },
             |out| out.faults(),
         )];
-        let (results, _journals, registries) = run_scenarios_capturing(scenarios, 1);
+        let mut run = Run::new(1, false, false);
+        let results = run.scenarios(scenarios);
         assert!(results[0] > 0);
-        let (_, reg) = &registries[0];
+        let (_, reg) = &run.registries[0];
         let m = reg.machine(0).expect("machine attached");
         assert!(
             m.counter("lock.acquisitions") > 0,

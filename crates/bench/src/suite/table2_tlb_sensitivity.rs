@@ -4,7 +4,7 @@
 //! with Linux THP on pristine memory; an application is TLB-sensitive if
 //! huge pages speed it up by more than 3 %. The paper counts 15/79.
 
-use crate::{run_one, run_scenarios_with, Json, PolicyKind, Report, Row, Scenario};
+use crate::{run_one, Json, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_workloads::census;
 use std::collections::BTreeMap;
 
@@ -18,7 +18,7 @@ struct AppResult {
 }
 
 /// Builds the `table2` report: TLB-sensitive application counts per benchmark suite.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: &mut Run) -> Report {
     let iters = 120;
     let scenarios: Vec<Scenario<AppResult>> = census()
         .into_iter()
@@ -53,7 +53,7 @@ pub fn report(threads: usize) -> Report {
             })
         })
         .collect();
-    let results = run_scenarios_with(scenarios, threads);
+    let results = run.scenarios(scenarios);
 
     let mut per_suite: BTreeMap<&str, (u32, u32, u32)> = BTreeMap::new(); // total, sensitive, expected
     let mut mismatches = Vec::new();

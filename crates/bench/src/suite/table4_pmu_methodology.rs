@@ -7,11 +7,11 @@
 //! prints the raw counters alongside the derived overhead, verifying the
 //! formula end to end.
 
-use crate::{pct, run_one, run_scenarios_with, Json, PolicyKind, Report, Row, Scenario};
+use crate::{pct, run_one, Json, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_workloads::PatternScan;
 
 /// Builds the `table4` report: the MMU-overhead measurement methodology comparison.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: &mut Run) -> Report {
     let scenarios: Vec<Scenario<Row>> = [("random-192MB", true), ("sequential-192MB", false)]
         .into_iter()
         .map(|(name, random)| {
@@ -57,7 +57,7 @@ pub fn report(threads: usize) -> Report {
             "(C1+C2)/C3",
         ],
     );
-    report.extend(run_scenarios_with(scenarios, threads));
+    report.extend(run.scenarios(scenarios));
     report.footer("formula verified: overhead == (C1 + C2) / C3 exactly");
     report
 }

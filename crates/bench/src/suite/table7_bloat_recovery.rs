@@ -6,7 +6,7 @@
 //! fast when memory is plentiful, memory-efficient under pressure.
 //! Scaled 256×: 24 K keys (96 MiB), delete 60 %.
 
-use crate::{run_scenarios_with, Json, PolicyKind, Report, Row, Scenario};
+use crate::{Json, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_kernel::Simulator;
 use hawkeye_metrics::Cycles;
 use hawkeye_workloads::{RedisKv, RedisOp};
@@ -32,7 +32,7 @@ fn script() -> Vec<RedisOp> {
     ]
 }
 
-fn run(kind: PolicyKind, mib: u64, hog_pages: u64) -> (f64, f64) {
+fn simulate(kind: PolicyKind, mib: u64, hog_pages: u64) -> (f64, f64) {
     let mut cfg = kind.config(mib);
     cfg.max_time = Cycles::from_secs(120.0);
     let mut sim = Simulator::new(cfg, kind.build());
@@ -110,7 +110,7 @@ fn run(kind: PolicyKind, mib: u64, hog_pages: u64) -> (f64, f64) {
 }
 
 /// Builds the `table7` report: Redis memory vs throughput under bloat recovery.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: &mut Run) -> Report {
     let scenarios: Vec<Scenario<Row>> = [
         (PolicyKind::Linux4k, "No", 0u64),
         (PolicyKind::Linux2m, "No", 0),
@@ -122,7 +122,7 @@ pub fn report(threads: usize) -> Report {
     .into_iter()
     .map(|(kind, tuning, hog)| {
         Scenario::new(format!("{} {tuning}", kind.label()), move || {
-            let (mem, kops) = run(kind, 384, hog);
+            let (mem, kops) = simulate(kind, 384, hog);
             Row::new(vec![
                 kind.label().to_string(),
                 tuning.to_string(),
@@ -148,7 +148,7 @@ pub fn report(threads: usize) -> Report {
             "Throughput (Kops/s)",
         ],
     );
-    report.extend(run_scenarios_with(scenarios, threads));
+    report.extend(run.scenarios(scenarios));
     report.footer(
         "(paper, Table 7: Linux-4KB 16.2GB/106K; Linux-2MB 33.2GB/113.8K;\n\
          Ingens-90% 16.3GB/106.8K; Ingens-50% 33.1GB/113.4K;\n\

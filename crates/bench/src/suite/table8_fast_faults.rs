@@ -7,10 +7,7 @@
 //! improves Redis 2 MB-value throughput 1.26×; Ingens' utilization
 //! threshold *hurts* these workloads by multiplying faults.
 
-use crate::{
-    dirty_free_memory, run_scenarios_with, secs, Json, PolicyKind, Report, Row, RunOutcome,
-    Scenario,
-};
+use crate::{dirty_free_memory, secs, Json, PolicyKind, Report, Row, Run, RunOutcome, Scenario};
 use hawkeye_kernel::{workload::script, MemOp, Simulator, Workload};
 use hawkeye_metrics::Cycles;
 use hawkeye_workloads::{HaccIo, RedisKv, RedisOp, SparseHash, Spinup};
@@ -61,7 +58,7 @@ fn workloads() -> Vec<(&'static str, WorkloadCtor)> {
 }
 
 /// Builds the `table8` report: fault-bound workloads under async pre-zeroing.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: &mut Run) -> Report {
     let kinds = [
         PolicyKind::Linux4k,
         PolicyKind::Linux2m,
@@ -88,7 +85,7 @@ pub fn report(threads: usize) -> Report {
             })
         })
         .collect();
-    let cells = run_scenarios_with(scenarios, threads);
+    let cells = run.scenarios(scenarios);
 
     let mut header: Vec<&'static str> = vec!["Workload"];
     header.extend(kinds.iter().map(|k| k.label()));

@@ -4,7 +4,7 @@
 //! unattributed residue — and the summary's `cycles` section must be
 //! byte-identical at any worker count, like every other bench artifact.
 
-use hawkeye_bench::{cycles_json, run_one, run_scenarios_capturing, PolicyKind, Scenario};
+use hawkeye_bench::{cycles_json, run_one, PolicyKind, Run, Scenario};
 use hawkeye_trace::TraceEvent;
 use hawkeye_workloads::AllocTouch;
 
@@ -37,7 +37,9 @@ fn matrix() -> Vec<Scenario<u64>> {
 
 #[test]
 fn every_policy_attributes_every_cycle() {
-    let (_, journals, regs) = run_scenarios_capturing(matrix(), 4);
+    let mut run = Run::new(4, true, false);
+    run.scenarios(matrix());
+    let (journals, regs) = (run.journals, run.registries);
     assert_eq!(regs.len(), KINDS.len(), "every scenario must return a registry");
     for (name, reg) in &regs {
         let m = reg.machine(0).unwrap_or_else(|| panic!("{name}: machine not attached"));
@@ -77,10 +79,12 @@ fn every_policy_attributes_every_cycle() {
 
 #[test]
 fn cycles_section_is_byte_identical_across_worker_counts() {
-    let (_, _, r1) = run_scenarios_capturing(matrix(), 1);
-    let (_, _, r8) = run_scenarios_capturing(matrix(), 8);
-    let doc1 = cycles_json(&r1).to_string();
-    let doc8 = cycles_json(&r8).to_string();
+    let cycles = |threads| {
+        let mut run = Run::new(threads, false, false);
+        run.scenarios(matrix());
+        cycles_json(&run.registries).to_string()
+    };
+    let (doc1, doc8) = (cycles(1), cycles(8));
     assert_eq!(doc1, doc8, "cycles section must not depend on worker count");
     for needle in
         [r#""scenario":"Linux-4KB""#, r#""unhalted""#, r#""walk""#, r#""idle""#, r#""hist""#]

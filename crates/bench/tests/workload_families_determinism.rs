@@ -5,39 +5,34 @@
 //! ENVELOPES.md atlas must be byte-stable too, since the knee table is
 //! a published claim about where policies break.
 //!
-//! Worker counts are pinned through each target's `report_with`
-//! arguments, not `HAWKEYE_BENCH_THREADS`, so the test stays race-free
-//! under parallel test execution. Everything lives in one `#[test]`
-//! because traced runs hand journals to the process-global
-//! trace-journal queue — concurrent tests draining that queue would
-//! race. The targets run at reduced scale (shorter victim, smaller
-//! tree/grid, two-point intensity sweep): determinism is a property of
-//! the engine and the generators, not of the workload length, and the
-//! full-scale sweep is unaffordable under the dev profile.
+//! Worker counts are pinned through each traced run's `threads`, not
+//! `HAWKEYE_BENCH_THREADS`, so the test stays race-free under parallel
+//! test execution. The targets run at reduced scale (shorter victim,
+//! smaller tree/grid, two-point intensity sweep): determinism is a
+//! property of the engine and the generators, not of the workload
+//! length, and the full-scale sweep is unaffordable under the dev
+//! profile.
 
 use hawkeye_analyze::envelope::envelopes_md;
 use hawkeye_analyze::parse_trace;
 use hawkeye_analyze::summary::parse_summary;
 use hawkeye_bench::scenario::trace_doc_string;
 use hawkeye_bench::suite::{adversarial, hpc_stencil, oltp_btree};
-use hawkeye_bench::take_queued_trace_journals;
+use hawkeye_bench::Run;
 
-/// One reduced-scale run of a family at `threads` workers, reduced to
-/// the summary JSON and trace-document byte streams.
+/// One reduced-scale traced run of a family at `threads` workers,
+/// reduced to the summary JSON and trace-document byte streams.
 fn family(target: &str, threads: usize) -> (String, String) {
+    let mut run = Run::new(threads, true, false);
     let report = match target {
-        "oltp_btree" => oltp_btree::report_with(8, 20_000, threads),
-        "hpc_stencil" => hpc_stencil::report_with(4, 8, threads),
-        "adversarial" => adversarial::report_with(50_000, &[0.0, 0.75], threads),
+        "oltp_btree" => oltp_btree::report_with(8, 20_000, &mut run),
+        "hpc_stencil" => hpc_stencil::report_with(4, 8, &mut run),
+        "adversarial" => adversarial::report_with(50_000, &[0.0, 0.75], &mut run),
         other => panic!("unknown family {other}"),
     };
     let summary = report.json().to_string();
-    let journals = take_queued_trace_journals();
-    assert!(
-        !journals.is_empty(),
-        "{target}: traced run must queue journals"
-    );
-    let trace = trace_doc_string(target, &journals);
+    assert!(!run.journals.is_empty(), "{target}: traced run must keep journals");
+    let trace = trace_doc_string(target, &run.journals);
     (summary, trace)
 }
 
@@ -51,8 +46,6 @@ fn envelopes(summary: &str, trace: &str) -> String {
 
 #[test]
 fn family_artifacts_are_byte_identical_across_worker_counts_and_runs() {
-    hawkeye_trace::set_forced(true);
-
     for target in ["oltp_btree", "hpc_stencil", "adversarial"] {
         let (sum1, trace1) = family(target, 1);
         let (sum8, trace8) = family(target, 8);
@@ -86,6 +79,4 @@ fn family_artifacts_are_byte_identical_across_worker_counts_and_runs() {
             );
         }
     }
-
-    hawkeye_trace::set_forced(false);
 }

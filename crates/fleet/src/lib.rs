@@ -39,7 +39,7 @@
 //!     },
 //!     hook: || Box::new(NoopHook),
 //! };
-//! let result = run(&cfg, &[cohort], 2);
+//! let result = run(&cfg, &[cohort], 2, false);
 //! assert_eq!(result.cohorts.len(), 1);
 //! assert!(result.cohorts[0].faults > 0);
 //! ```
@@ -53,4 +53,4 @@ pub mod pool;
 
 pub use hook::{FleetHook, HostObs, NoopHook, ThrottleUnderPressure};
 pub use host::{Host, HostCounters, TenantSpec};
-pub use orchestrator::{run, run_observed, CohortSlo, CohortSpec, FleetConfig, FleetResult};
+pub use orchestrator::{run, CohortSlo, CohortSpec, FleetConfig, FleetResult};

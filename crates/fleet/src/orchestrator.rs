@@ -189,25 +189,15 @@ struct GroupOutcome {
 
 /// Runs the fleet: every `(cohort, group)` pair becomes one pool job.
 /// Results aggregate in submission order, so the output is byte-stable
-/// at any `threads`. Telemetry collection follows
-/// [`hawkeye_obs::enabled`]; use [`run_observed`] to pin it explicitly.
-pub fn run(cfg: &FleetConfig, cohorts: &[CohortSpec], threads: usize) -> FleetResult {
-    run_observed(cfg, cohorts, threads, hawkeye_obs::enabled())
-}
-
-/// [`run`] with telemetry collection pinned by `observe` instead of the
-/// process-global gate. When enabled, each group additionally folds its
-/// hosts' per-epoch windows (fault latencies from the trace tail the
-/// hook already sees, walk/unhalted registry deltas, utilization, FMFI)
-/// into mergeable [`CohortAcc`]s — pure reads of state the epoch loop
-/// computes anyway, so the simulation is bit-identical either way; when
-/// disabled the per-epoch cost is one `Option` branch.
-pub fn run_observed(
-    cfg: &FleetConfig,
-    cohorts: &[CohortSpec],
-    threads: usize,
-    observe: bool,
-) -> FleetResult {
+/// at any `threads`.
+///
+/// With `observe` on, each group additionally folds its hosts' per-epoch
+/// windows (fault latencies from the trace tail the hook already sees,
+/// walk/unhalted registry deltas, utilization, FMFI) into mergeable
+/// [`CohortAcc`]s — pure reads of state the epoch loop computes anyway,
+/// so the simulation is bit-identical either way; with it off the
+/// per-epoch cost is one `Option` branch.
+pub fn run(cfg: &FleetConfig, cohorts: &[CohortSpec], threads: usize, observe: bool) -> FleetResult {
     let groups = cfg.hosts.div_ceil(cfg.group_size.max(1));
     let mut jobs: Vec<Job<GroupOutcome>> = Vec::new();
     for (ci, spec) in cohorts.iter().enumerate() {
@@ -497,7 +487,7 @@ mod tests {
     fn tiny_fleet_runs_and_reports() {
         let mut cfg = FleetConfig::sized(8);
         cfg.epochs = 4;
-        let result = run(&cfg, &[base_cohort(), throttled_cohort()], 2);
+        let result = run(&cfg, &[base_cohort(), throttled_cohort()], 2, false);
         assert_eq!(result.cohorts.len(), 2);
         for slo in &result.cohorts {
             assert_eq!(slo.hosts, 8);
@@ -518,8 +508,8 @@ mod tests {
     fn observed_runs_collect_without_drifting_the_simulation() {
         let mut cfg = FleetConfig::sized(8);
         cfg.epochs = 4;
-        let plain = run_observed(&cfg, &[base_cohort()], 2, false);
-        let observed = run_observed(&cfg, &[base_cohort()], 2, true);
+        let plain = run(&cfg, &[base_cohort()], 2, false);
+        let observed = run(&cfg, &[base_cohort()], 2, true);
         // Zero drift: collection only reads state the epoch loop already
         // computes, so every simulated observable matches exactly.
         assert!(plain.obs.is_none());
@@ -542,7 +532,7 @@ mod tests {
         );
         // Determinism: worker count and repetition don't change the
         // merged accumulators (byte-compared via the sketch encoding).
-        let again = run_observed(&cfg, &[base_cohort()], 8, true);
+        let again = run(&cfg, &[base_cohort()], 8, true);
         assert_eq!(Some(obs), again.obs);
     }
 
@@ -550,8 +540,8 @@ mod tests {
     fn fleet_is_deterministic_across_worker_counts() {
         let mut cfg = FleetConfig::sized(16);
         cfg.epochs = 3;
-        let a = run(&cfg, &[base_cohort()], 1);
-        let b = run(&cfg, &[base_cohort()], 8);
+        let a = run(&cfg, &[base_cohort()], 1, false);
+        let b = run(&cfg, &[base_cohort()], 8, false);
         for (x, y) in a.cohorts.iter().zip(&b.cohorts) {
             assert_eq!(format!("{x:?}"), format!("{y:?}"));
         }

@@ -119,8 +119,7 @@ pub struct KernelConfig {
     /// the machine records a per-core lock/allocator access plan replayed
     /// by [`crate::multicore`] into `lock.*` contention metrics (the only
     /// counters allowed to differ across core counts — aggregate work
-    /// counters stay pinned exactly). The `HAWKEYE_CORES` environment
-    /// variable (checked at [`crate::Simulator::new`]) overrides this.
+    /// counters stay pinned exactly).
     pub cores: u32,
 }
 

@@ -341,7 +341,7 @@ impl Machine {
             self.metrics.charge_cpu(Subsystem::Zero, self.config.costs.zero_4k);
         }
         self.finish_map_base(pid, vpn, a.pfn);
-        self.conc_app(pid, vpn.hvpn(), cost, Some(Order(0)));
+        self.conc_app(pid, vpn.hvpn(), cost, true);
         Ok(cost)
     }
 
@@ -356,7 +356,7 @@ impl Machine {
             self.metrics.charge_cpu(Subsystem::Zero, self.config.costs.zero_4k);
         }
         self.finish_map_base(pid, vpn, pfn);
-        self.conc_app(pid, vpn.hvpn(), cost, None);
+        self.conc_app(pid, vpn.hvpn(), cost, false);
         cost
     }
 
@@ -411,7 +411,7 @@ impl Machine {
         self.install_huge_frames(pid, hvpn, a.pfn);
         let p = self.processes.get_mut(&pid).expect("faulting process exists");
         p.space_mut().map_huge(hvpn, a.pfn).expect("region checked promotable and empty");
-        self.conc_app(pid, hvpn, cost, Some(HUGE_ORDER));
+        self.conc_app(pid, hvpn, cost, true);
         Ok((cost, true))
     }
 
@@ -453,7 +453,7 @@ impl Machine {
         self.mmu.invalidate_page(pid, vpn);
         let p = self.processes.get_mut(&pid).expect("exists");
         p.stats_mut().cow_faults += 1;
-        self.conc_app(pid, vpn.hvpn(), cost, Some(Order(0)));
+        self.conc_app(pid, vpn.hvpn(), cost, true);
         Ok(cost)
     }
 
@@ -542,7 +542,7 @@ impl Machine {
             pid,
             TraceEvent::Promote { hvpn: hvpn.0, copied, filled, cycles: cost.get() },
         );
-        self.conc_khugepaged(pid, hvpn, cost, Some(HUGE_ORDER));
+        self.conc_khugepaged(pid, hvpn, cost, true);
         Ok(Promoted { copied_pages: copied, filled_pages: filled, cycles: cost })
     }
 
@@ -603,7 +603,7 @@ impl Machine {
             pid,
             TraceEvent::Promote { hvpn: hvpn.0, copied: 0, filled: 0, cycles: cost.get() },
         );
-        self.conc_khugepaged(pid, hvpn, cost, None);
+        self.conc_khugepaged(pid, hvpn, cost, false);
         Ok(())
     }
 
@@ -626,7 +626,7 @@ impl Machine {
         let cost = self.config.costs.fault_base_4k; // split bookkeeping
         self.charge_daemon(Subsystem::Fault, cost);
         self.trace.emit(pid, TraceEvent::Demote { hvpn: hvpn.0, cycles: cost.get() });
-        self.conc_khugepaged(pid, hvpn, cost, None);
+        self.conc_khugepaged(pid, hvpn, cost, false);
         Some(cost)
     }
 
@@ -657,7 +657,7 @@ impl Machine {
                 pid,
                 TraceEvent::Dedup { hvpn: hvpn.0, zero_pages, demoted: false, cycles: cost.get() },
             );
-            self.conc_khugepaged(pid, hvpn, cost, None);
+            self.conc_khugepaged(pid, hvpn, cost, false);
             return Some(DedupOutcome::Kept { zero_pages, cycles: cost });
         }
         // Demote, then replace zero pages with canonical-zero COW entries.
@@ -695,7 +695,7 @@ impl Machine {
             pid,
             TraceEvent::Dedup { hvpn: hvpn.0, zero_pages, demoted: true, cycles: cost.get() },
         );
-        self.conc_khugepaged(pid, hvpn, cost - demote_cost, None);
+        self.conc_khugepaged(pid, hvpn, cost - demote_cost, false);
         Some(DedupOutcome::Deduped { zero_pages, cycles: cost })
     }
 
@@ -732,7 +732,7 @@ impl Machine {
         if stats.migrated_pages > 0 {
             if let Some(rec) = self.conc.as_mut() {
                 // Compaction serializes on one machine-wide resource.
-                rec.khugepaged(crate::multicore::COMPACT_KEY, cost, None);
+                rec.khugepaged(crate::multicore::COMPACT_KEY, cost, false);
             }
         }
         stats
@@ -837,7 +837,7 @@ impl Machine {
         // stays exact.
         self.metrics.charge_cpu(Subsystem::Fault, cost);
         if pages > 0 {
-            self.conc_app(pid, start.hvpn(), cost, None);
+            self.conc_app(pid, start.hvpn(), cost, false);
         }
         cost
     }
@@ -878,14 +878,14 @@ impl Machine {
     // engine's counters, journal and timings are untouched.
 
     /// Records an app-core page operation on `pid`'s region of `vpn`.
-    fn conc_app(&mut self, pid: u32, hvpn: Hvpn, hold: Cycles, alloc: Option<Order>) {
+    fn conc_app(&mut self, pid: u32, hvpn: Hvpn, hold: Cycles, alloc: bool) {
         if let Some(rec) = self.conc.as_mut() {
             rec.app(pid, page_key(pid, hvpn.0), hold, alloc);
         }
     }
 
     /// Records a khugepaged-core operation on `pid`'s region of `hvpn`.
-    fn conc_khugepaged(&mut self, pid: u32, hvpn: Hvpn, hold: Cycles, alloc: Option<Order>) {
+    fn conc_khugepaged(&mut self, pid: u32, hvpn: Hvpn, hold: Cycles, alloc: bool) {
         if let Some(rec) = self.conc.as_mut() {
             rec.khugepaged(page_key(pid, hvpn.0), hold, alloc);
         }

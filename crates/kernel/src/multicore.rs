@@ -31,7 +31,6 @@
 //! plan, so they are bit-reproducible for a fixed core count (and absent
 //! entirely at `cores = 1`).
 
-use hawkeye_mem::Order;
 use hawkeye_metrics::{Cycles, LogHistogram, MetricsSink};
 use hawkeye_trace::{TraceEvent, TraceSink};
 use std::collections::BTreeMap;
@@ -67,10 +66,7 @@ pub enum ConcOp {
         hold: u64,
     },
     /// One allocator trip against the core's home shard.
-    Alloc {
-        /// Block order requested.
-        order: u8,
-    },
+    Alloc,
 }
 
 /// Stable page-state resource key for (`pid`, `hvpn`): app faults and
@@ -252,14 +248,14 @@ impl ConcRecorder {
     /// Records an app-side page operation: the page-state lock (held for
     /// the cycles the serial engine charged) and optionally one allocator
     /// trip.
-    pub fn app(&mut self, pid: u32, key: u64, hold: Cycles, alloc: Option<Order>) {
+    pub fn app(&mut self, pid: u32, key: u64, hold: Cycles, alloc: bool) {
         let core = self.layout.app_core(pid);
         self.op(core, key, hold, alloc);
     }
 
     /// Records a khugepaged-side operation (promotion, demotion, dedup,
     /// compaction).
-    pub fn khugepaged(&mut self, key: u64, hold: Cycles, alloc: Option<Order>) {
+    pub fn khugepaged(&mut self, key: u64, hold: Cycles, alloc: bool) {
         let core = self.layout.khugepaged_core();
         self.op(core, key, hold, alloc);
     }
@@ -269,13 +265,13 @@ impl ConcRecorder {
     pub fn prezero(&mut self, trips: u64) {
         let core = self.layout.prezero_core();
         for _ in 0..trips.min(64) {
-            self.record(core, ConcOp::Alloc { order: 0 });
+            self.record(core, ConcOp::Alloc);
         }
     }
 
-    fn op(&mut self, core: usize, key: u64, hold: Cycles, alloc: Option<Order>) {
-        if let Some(order) = alloc {
-            self.record(core, ConcOp::Alloc { order: order.0 });
+    fn op(&mut self, core: usize, key: u64, hold: Cycles, alloc: bool) {
+        if alloc {
+            self.record(core, ConcOp::Alloc);
         }
         self.record(core, ConcOp::Lock { key, hold: hold.get() });
     }
@@ -322,7 +318,7 @@ impl ConcRecorder {
             next[core] += 1;
             let (res, hold) = match op {
                 ConcOp::Lock { key, hold } => (key, hold),
-                ConcOp::Alloc { .. } => {
+                ConcOp::Alloc => {
                     (SHARD_NS | self.layout.home_shard(core) as u64, ALLOC_HOLD)
                 }
             };
@@ -415,8 +411,8 @@ mod tests {
             scope::begin(1 << 12);
             let mut rec = ConcRecorder::new(4);
             for i in 0..50u32 {
-                rec.app(0, page_key(1, 7), Cycles::new(1000), None);
-                rec.khugepaged(page_key(1, 7), Cycles::new(500 + i as u64), None);
+                rec.app(0, page_key(1, 7), Cycles::new(1000), false);
+                rec.khugepaged(page_key(1, 7), Cycles::new(500 + i as u64), false);
             }
             let metrics = MetricsSink::attach_current();
             let trace = TraceSink::attach_current();
@@ -438,8 +434,8 @@ mod tests {
         registry::scope::begin();
         let mut rec = ConcRecorder::new(4);
         for i in 0..20u32 {
-            rec.app(0, page_key(1, i as u64), Cycles::new(100), None);
-            rec.app(1, page_key(2, 1000 + i as u64), Cycles::new(100), None);
+            rec.app(0, page_key(1, i as u64), Cycles::new(100), false);
+            rec.app(1, page_key(2, 1000 + i as u64), Cycles::new(100), false);
         }
         let metrics = MetricsSink::attach_current();
         rec.drain(&metrics, &TraceSink::disabled());
@@ -458,8 +454,8 @@ mod tests {
             let metrics = MetricsSink::attach_current();
             for c in 0..chunks {
                 for i in 0..30u64 {
-                    rec.app(0, page_key(1, 5), Cycles::new(700), Some(Order(0)));
-                    rec.khugepaged(page_key(1, 5), Cycles::new(300 + i), None);
+                    rec.app(0, page_key(1, 5), Cycles::new(700), true);
+                    rec.khugepaged(page_key(1, 5), Cycles::new(300 + i), false);
                 }
                 let _ = c;
                 rec.drain(&metrics, &TraceSink::disabled());
@@ -476,8 +472,8 @@ mod tests {
             let metrics = MetricsSink::attach_current();
             for _ in 0..3 {
                 for i in 0..30u64 {
-                    rec.app(0, page_key(1, 5), Cycles::new(700), Some(Order(0)));
-                    rec.khugepaged(page_key(1, 5), Cycles::new(300 + i), None);
+                    rec.app(0, page_key(1, 5), Cycles::new(700), true);
+                    rec.khugepaged(page_key(1, 5), Cycles::new(300 + i), false);
                 }
             }
             rec.drain(&metrics, &TraceSink::disabled());

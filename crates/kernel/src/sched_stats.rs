@@ -2,11 +2,14 @@
 //!
 //! The run loop tracks, per [`crate::Simulator`], how many scheduler
 //! quanta elapsed and how many of those were charged in closed form by
-//! the event-skip scheduler instead of executed. Simulators flush their
-//! local counters here when a run call returns, so harnesses (the bench
-//! suite's wall-clock artifacts, the CI skip-efficiency gate) can read
-//! machine-independent totals without threading handles through every
-//! layer.
+//! the event-skip scheduler instead of executed
+//! ([`crate::Simulator::quanta`]). Simulators also flush those counts
+//! here when a run call returns, so a harness that runs one target at a
+//! time (the report suite's per-target quanta, the `perf/` benchmark)
+//! can take deltas of machine-independent totals without threading
+//! simulator handles through every layer. Tests that need one
+//! simulator's count read [`crate::Simulator::quanta`] instead: sibling
+//! tests flush into these totals concurrently.
 //!
 //! The counters are host-side instrumentation only: they are never part
 //! of deterministic simulation output (reports, traces, metric
@@ -29,34 +32,7 @@ pub(crate) fn flush(total: u64, skipped: u64) {
 }
 
 /// `(quanta_total, quanta_skipped)` accumulated by every simulator run
-/// in this process since start (or the last [`reset`]).
+/// in this process since start. Callers take deltas.
 pub fn snapshot() -> (u64, u64) {
     (QUANTA_TOTAL.load(Ordering::Relaxed), QUANTA_SKIPPED.load(Ordering::Relaxed))
-}
-
-/// Zeroes the totals (benchmark harnesses isolate per-target windows).
-pub fn reset() {
-    QUANTA_TOTAL.store(0, Ordering::Relaxed);
-    QUANTA_SKIPPED.store(0, Ordering::Relaxed);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn flush_accumulates_and_reset_zeroes() {
-        // Other tests in the process may flush concurrently; assert on
-        // deltas of a private baseline rather than absolute values.
-        let (t0, s0) = snapshot();
-        flush(10, 7);
-        let (t1, s1) = snapshot();
-        assert!(t1 >= t0 + 10);
-        assert!(s1 >= s0 + 7);
-        reset();
-        // After reset the totals restart from zero (possibly plus
-        // concurrent flushes, which only add).
-        let (t2, _) = snapshot();
-        assert!(t2 < t1);
-    }
 }

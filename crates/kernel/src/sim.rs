@@ -65,6 +65,9 @@ pub struct Simulator {
     /// Event-skip scheduling enabled (config knob gated by the
     /// `HAWKEYE_NO_EVENT_SKIP` environment override).
     event_skip: bool,
+    /// `(total, skipped)` scheduler quanta across this simulator's run
+    /// calls (see [`Simulator::quanta`]).
+    quanta: (u64, u64),
 }
 
 /// Per-quantum CPU-side cycle attribution, accumulated alongside `spent`
@@ -116,17 +119,11 @@ enum StreakShape<'a> {
 
 impl Simulator {
     /// Boots a machine and installs a policy.
-    pub fn new(mut config: KernelConfig, policy: Box<dyn HugePagePolicy>) -> Self {
+    pub fn new(config: KernelConfig, policy: Box<dyn HugePagePolicy>) -> Self {
         let next_tick = config.tick_period;
         let next_sample = config.sample_period;
         let event_skip =
             config.event_skip && std::env::var_os("HAWKEYE_NO_EVENT_SKIP").is_none();
-        // `HAWKEYE_CORES=<n>` overrides the configured core count, so any
-        // existing binary can run multi-core without a config change. An
-        // unparsable value warns once and keeps the configured count.
-        if let Some(n) = hawkeye_metrics::env::parse::<u32>("HAWKEYE_CORES") {
-            config.cores = n.clamp(1, crate::multicore::MAX_CORES as u32);
-        }
         Simulator {
             machine: Machine::new(config),
             policy: Some(policy),
@@ -134,7 +131,17 @@ impl Simulator {
             next_sample,
             hook: None,
             event_skip,
+            quanta: (0, 0),
         }
+    }
+
+    /// `(total, skipped)` scheduler quanta this simulator's run calls
+    /// elapsed, and how many of those the event-skip scheduler charged in
+    /// closed form. Counted per instance, so concurrent simulators never
+    /// see each other's quanta. Rounds driven through
+    /// [`Simulator::round`] directly are not counted.
+    pub fn quanta(&self) -> (u64, u64) {
+        self.quanta
     }
 
     /// Installs (or clears) the per-touch interposer.
@@ -257,6 +264,8 @@ impl Simulator {
         }
         self.machine.mmu_mut().flush_metrics();
         self.machine.drain_concurrency();
+        self.quanta.0 += total;
+        self.quanta.1 += skipped;
         crate::sched_stats::flush(total, skipped);
         self.machine.now()
     }

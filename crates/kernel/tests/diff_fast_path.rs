@@ -430,13 +430,12 @@ fn event_skip_matches_tick_loop_for_all_nine_policies() {
 #[test]
 fn event_skip_actually_skips_quanta_here() {
     // Guard against the differential above passing vacuously: on this
-    // workload the skip arms must engage. Counter-based (sched_stats),
-    // so the assertion is deterministic.
-    hawkeye_kernel::sched_stats::reset();
+    // workload the skip arms must engage. Counter-based (this
+    // simulator's own quanta), so the assertion is deterministic.
     let (_, policy) = nine_policies(6);
     let (sim, _, _) = run_instrumented(true, policy, 7);
     assert!(sim.machine().now() > Cycles::ZERO);
-    let (total, skipped) = hawkeye_kernel::sched_stats::snapshot();
+    let (total, skipped) = sim.quanta();
     assert!(total > 0, "run recorded no quanta");
     assert!(
         skipped > 0,

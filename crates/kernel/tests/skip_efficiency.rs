@@ -3,7 +3,7 @@
 //! Runs a representative compute/stream workload with the event-skip
 //! scheduler on and asserts a minimum fraction of scheduler quanta were
 //! charged in closed form instead of executed. The assertion reads the
-//! [`hawkeye_kernel::sched_stats`] counters — the simulator is
+//! simulator's own [`Simulator::quanta`] counters — the simulator is
 //! deterministic, so the ratio is an exact constant of the codebase and
 //! the gate cannot flake the way a wall-clock threshold would.
 //!
@@ -14,7 +14,7 @@
 
 use hawkeye_core::{HawkEye, HawkEyeConfig};
 use hawkeye_kernel::workload::script;
-use hawkeye_kernel::{sched_stats, KernelConfig, MemOp, Simulator};
+use hawkeye_kernel::{KernelConfig, MemOp, Simulator};
 use hawkeye_vm::{Vpn, VmaKind};
 
 /// A compressed stand-in for the suite's fault-then-work shape: fault a
@@ -40,13 +40,12 @@ fn representative_ops() -> Vec<MemOp> {
 
 #[test]
 fn skip_ratio_meets_threshold() {
-    sched_stats::reset();
     let cfg = KernelConfig::small();
     assert!(cfg.event_skip, "event-skip must be the default");
     let mut sim = Simulator::new(cfg, Box::new(HawkEye::new(HawkEyeConfig::default())));
     sim.spawn(script("rep", representative_ops()));
     sim.run();
-    let (total, skipped) = sched_stats::snapshot();
+    let (total, skipped) = sim.quanta();
     assert!(total > 100, "workload too small to be representative ({total} quanta)");
     let ratio = skipped as f64 / total as f64;
     // Deterministic floor with headroom below the measured ratio; a

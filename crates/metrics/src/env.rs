@@ -1,9 +1,9 @@
 //! Warn-once parsing for `HAWKEYE_*` environment knobs.
 //!
-//! Every tunable in the workspace (`HAWKEYE_CORES`,
-//! `HAWKEYE_BENCH_THREADS`, …) historically fell back to its default
-//! silently when the value failed to parse, so a typo like
-//! `HAWKEYE_CORES=abc` looked exactly like "knob unset". [`parse`]
+//! Every tunable in the workspace (`HAWKEYE_BENCH_THREADS`, …)
+//! historically fell back to its default silently when the value failed
+//! to parse, so a typo like `HAWKEYE_BENCH_THREADS=abc` looked exactly
+//! like "knob unset". [`parse`]
 //! centralises the read: a set-but-unparsable value emits one stderr
 //! warning per (variable, value) pair for the lifetime of the process
 //! and then behaves as unset, so the caller's default still applies but
@@ -41,6 +41,14 @@ pub fn parse<T: FromStr>(name: &str) -> Option<T> {
             None
         }
     }
+}
+
+/// Reads an on/off switch from the environment: on when `name` is set,
+/// non-empty, and not `"0"`. Binaries read their switches
+/// (`HAWKEYE_TRACE`, `HAWKEYE_OBS`) once at startup and pass them down
+/// as plain values.
+pub fn flag(name: &str) -> bool {
+    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 fn warn_once(name: &str, raw: &str) {

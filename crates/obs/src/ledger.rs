@@ -7,9 +7,9 @@
 //! The gate only ever reads **deterministic** quantities: scheduler
 //! quanta (total work and closed-form-skipped), and the REPORT.md check
 //! tally. Host wall-clock is recorded — total seconds plus an FNV-1a
-//! digest of the per-target timings — but quarantined exactly like the
-//! `.wallclock.json` sidecars: rendered as advisory columns, never a
-//! gate input, so the gate cannot flake on a slow host.
+//! digest of the per-target timings — but quarantined exactly like
+//! WALLCLOCK.md: rendered as advisory columns, never a gate input, so
+//! the gate cannot flake on a slow host.
 //!
 //! # Versioning policy
 //!

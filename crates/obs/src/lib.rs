@@ -26,17 +26,14 @@
 //! # Gating
 //!
 //! Collection obeys the standing instrumentation invariant: one branch
-//! when disabled, zero drift either way. It is off unless the
-//! `HAWKEYE_OBS` environment variable is set (to anything but `0`) or a
-//! harness calls [`set_forced`]`(true)` — the same pattern as
-//! `hawkeye_trace`. Everything downstream of collection is a pure
+//! when disabled, zero drift either way. It is off unless the caller
+//! asks for it: the fleet runner and the `fleet_slo` target take an
+//! explicit `observe` flag, which the binaries set from the `HAWKEYE_OBS`
+//! environment variable. Everything downstream of collection is a pure
 //! function of the collected document, so artifacts are reproducible
 //! from `fleet_slo.obs.json` alone.
 
 #![warn(missing_docs)]
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 
 pub mod alerts;
 pub mod anomaly;
@@ -51,43 +48,3 @@ pub use doc::{Alert, AlertKind, CohortObs, ObsDoc, RuleDoc, OBS_SCHEMA_VERSION};
 pub use ledger::{fnv1a, regressions, trend_md, LedgerRun, LedgerTarget, LEDGER_SCHEMA_VERSION};
 pub use series::{finalize, CohortAcc, CohortSeries, EpochAcc, EpochPoint};
 pub use slo::{default_rules, evaluate, slo_trace_records, BurnRule, Direction, SeriesKey};
-
-/// Process-wide override so harnesses (hawkeye-report, tests) can enable
-/// telemetry without touching the environment.
-static FORCED: AtomicBool = AtomicBool::new(false);
-
-/// Forces telemetry collection on (or back off) for this process,
-/// overriding `HAWKEYE_OBS`. Note this is process-global — parallel unit
-/// tests should prefer the explicit `observe` arguments the fleet and
-/// bench layers expose instead.
-pub fn set_forced(on: bool) {
-    FORCED.store(on, Ordering::Relaxed);
-}
-
-fn env_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("HAWKEYE_OBS") {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
-    })
-}
-
-/// True when fleet telemetry collection is enabled, either by the
-/// `HAWKEYE_OBS` environment variable (read once) or by [`set_forced`].
-pub fn enabled() -> bool {
-    FORCED.load(Ordering::Relaxed) || env_enabled()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn forced_flag_round_trips() {
-        // Only exercises the override knob; the env half is pinned by the
-        // fleet zero-drift integration test (obs off by default there).
-        set_forced(true);
-        assert!(enabled());
-        set_forced(false);
-    }
-}

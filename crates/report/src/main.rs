@@ -16,7 +16,7 @@ fn usage() -> &'static str {
      \x20                     [--only t1,t2,...] [--dir DIR] [--trend]\n\
      \x20                     [--ledger DIR] [--counts]\n\
      \n\
-     Runs the full paper-experiment suite in-process (tracing forced on),\n\
+     Runs the full paper-experiment suite in-process (tracing on),\n\
      writes per-target summaries + trace journals under DIR, and renders\n\
      DIR/REPORT.md: every table/figure of DESIGN.md \u{a7}4 side-by-side\n\
      with the paper's number, a percent delta, and a tolerance band.\n\
@@ -169,7 +169,8 @@ fn main() -> ExitCode {
             "[hawkeye-report] running {} suite target(s) on {threads} worker(s)",
             targets.len()
         );
-        walls = hawkeye_report::run_suite(&targets, threads, &data_dir);
+        let obs = hawkeye_metrics::env::flag("HAWKEYE_OBS");
+        walls = hawkeye_report::run_suite(&targets, threads, obs, &data_dir);
         let table = hawkeye_report::wallclock_table(&walls, threads);
         let wall_path = dir.join("WALLCLOCK.md");
         match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&wall_path, &table)) {

@@ -16,8 +16,8 @@
 #![warn(missing_docs)]
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use hawkeye_metrics::Cycles;
 
@@ -590,33 +590,6 @@ pub mod scope {
     pub(super) fn current() -> Option<Arc<Mutex<TraceBuffer>>> {
         CURRENT.with(|c| c.borrow().clone())
     }
-}
-
-/// Process-wide programmatic tracing override, OR-ed with the
-/// `HAWKEYE_TRACE` environment variable by [`env_enabled`].
-static FORCED: AtomicBool = AtomicBool::new(false);
-
-/// Forces tracing on (or back off) for this process regardless of the
-/// `HAWKEYE_TRACE` environment variable. The report pipeline
-/// (`hawkeye-report`) uses this to capture journals from an in-process
-/// suite run without mutating the environment; tests that need captured
-/// journals should keep using `run_scenarios_capturing`, which scopes the
-/// override per call instead of process-globally.
-pub fn set_forced(on: bool) {
-    FORCED.store(on, Ordering::Relaxed);
-}
-
-/// True when tracing is requested: either the `HAWKEYE_TRACE` environment
-/// variable is set, non-empty, and not `"0"` (read once per process), or
-/// [`set_forced`] turned tracing on programmatically.
-pub fn env_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    FORCED.load(Ordering::Relaxed)
-        || *ENABLED.get_or_init(|| {
-            std::env::var("HAWKEYE_TRACE")
-                .map(|v| !v.is_empty() && v != "0")
-                .unwrap_or(false)
-        })
 }
 
 #[cfg(test)]

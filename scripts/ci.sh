@@ -40,15 +40,15 @@ cargo test --release -p hawkeye-bench --test obs_determinism -q
 echo "==> workload-family determinism gate (1 vs 8 workers + ENVELOPES.md)"
 cargo test --release -p hawkeye-bench --test workload_families_determinism -q
 
-# Report-loader error paths: corrupt/truncated wallclock sidecars must
-# warn and render n/a (never zero-fill), and expected-but-missing
-# summary metrics must be listed per target for the exit-4 gate.
+# Report-loader error paths: expected-but-missing summary metrics must
+# be listed per target for the exit-4 gate, and corrupt ledger entries
+# must fail the trend gate instead of being skipped.
 echo "==> report-loader error-path tests"
 cargo test -p hawkeye-report --lib -q
 
 # Event-skip efficiency gate: on a representative compute/stream
 # workload, a minimum fraction of scheduler quanta must be charged in
-# closed form (quanta-skipped / quanta-total from sched_stats). The
+# closed form (quanta-skipped / quanta-total from Simulator::quanta). The
 # simulator is deterministic, so the ratio is an exact counter — this
 # gate cannot flake on a slow host, unlike a wall-clock bound. The
 # differential tests (diff_fast_path) pin that skipping changes no
