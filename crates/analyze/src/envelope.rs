@@ -19,9 +19,10 @@
 //! Same bytes for the same artifacts, always: ENVELOPES.md sits inside
 //! the artifact determinism gate next to REPORT.md and FLEET.md.
 
-use crate::json::Value;
+use crate::latency;
 use crate::summary::SummaryDoc;
-use crate::{latency, ScenarioTrace, TraceDoc};
+use hawkeye_metrics::json::Json;
+use hawkeye_trace::{ScenarioTrace, TraceDoc};
 
 /// The first swept intensity where the victim ratio exceeds 1.0 — the
 /// policy's failure knee. `points` are `(intensity, ratio)` pairs;
@@ -49,16 +50,16 @@ pub fn knee(points: &[(f64, f64)]) -> Option<f64> {
         .map(|(x, _)| *x)
 }
 
-fn s(row: &Value, key: &str) -> Option<String> {
-    row.get(key).and_then(Value::as_str).map(str::to_string)
+fn s(row: &Json, key: &str) -> Option<String> {
+    row.get(key).and_then(Json::as_str).map(str::to_string)
 }
 
-fn f(row: &Value, key: &str) -> Option<f64> {
-    row.get(key).and_then(Value::as_f64)
+fn f(row: &Json, key: &str) -> Option<f64> {
+    row.get(key).and_then(Json::as_f64)
 }
 
-fn flag(row: &Value, key: &str) -> bool {
-    row.get(key).and_then(Value::as_u64) == Some(1)
+fn flag(row: &Json, key: &str) -> bool {
+    row.get(key).and_then(Json::as_u64) == Some(1)
 }
 
 /// One parsed adversarial summary row.
@@ -273,7 +274,6 @@ pub fn envelopes_md(doc: &SummaryDoc, trace: Option<&TraceDoc>) -> Option<String
 mod tests {
     use super::*;
     use crate::summary::parse_summary;
-    use crate::TraceDoc;
     use hawkeye_metrics::Cycles;
     use hawkeye_trace::{TraceEvent, TraceRecord};
 

@@ -7,29 +7,29 @@
 //! REPORT.md. Same bytes for the same summary, always — FLEET.md sits
 //! inside the artifact determinism gate.
 
-use crate::json::Value;
 use crate::summary::SummaryDoc;
+use hawkeye_metrics::json::Json;
 
-fn s(row: &Value, key: &str) -> String {
-    row.get(key).and_then(Value::as_str).unwrap_or("?").to_string()
+fn s(row: &Json, key: &str) -> String {
+    row.get(key).and_then(Json::as_str).unwrap_or("?").to_string()
 }
 
-fn int(row: &Value, key: &str) -> String {
-    match row.get(key).and_then(Value::as_u64) {
+fn int(row: &Json, key: &str) -> String {
+    match row.get(key).and_then(Json::as_u64) {
         Some(v) => v.to_string(),
         None => "?".to_string(),
     }
 }
 
-fn float(row: &Value, key: &str, decimals: usize) -> String {
-    match row.get(key).and_then(Value::as_f64) {
+fn float(row: &Json, key: &str, decimals: usize) -> String {
+    match row.get(key).and_then(Json::as_f64) {
         Some(v) => format!("{v:.decimals$}"),
         None => "?".to_string(),
     }
 }
 
-fn pct(row: &Value, key: &str) -> String {
-    match row.get(key).and_then(Value::as_f64) {
+fn pct(row: &Json, key: &str) -> String {
+    match row.get(key).and_then(Json::as_f64) {
         Some(v) => format!("{:.2}%", 100.0 * v),
         None => "?".to_string(),
     }
@@ -37,17 +37,17 @@ fn pct(row: &Value, key: &str) -> String {
 
 /// Whether the cohort row has no completed epochs: its latency/overhead
 /// fields are vacuous zeros, not measurements.
-fn idle_cohort(row: &Value) -> bool {
-    row.get("faults").and_then(Value::as_u64) == Some(0)
+fn idle_cohort(row: &Json) -> bool {
+    row.get("faults").and_then(Json::as_u64) == Some(0)
 }
 
 /// Like `float`, but `n/a` when the cohort never ran an epoch.
-fn measured_float(row: &Value, key: &str, decimals: usize) -> String {
+fn measured_float(row: &Json, key: &str, decimals: usize) -> String {
     if idle_cohort(row) { "n/a".to_string() } else { float(row, key, decimals) }
 }
 
 /// Like `pct`, but `n/a` when the cohort never ran an epoch.
-fn measured_pct(row: &Value, key: &str) -> String {
+fn measured_pct(row: &Json, key: &str) -> String {
     if idle_cohort(row) { "n/a".to_string() } else { pct(row, key) }
 }
 

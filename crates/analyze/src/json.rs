@@ -1,396 +1,6 @@
-//! Minimal JSON parser — the read side of the bench harness's writer
-//! (`hawkeye-bench`'s `json` module).
-//!
-//! Same rationale as the writer: the toolchain must stay offline-buildable
-//! with zero external dependencies, and all it needs to read back is what
-//! the writer emits — objects in insertion order, arrays, strings with the
-//! writer's escape set, and finite numbers. Standard constructs the writer
-//! never produces (exponents, `\uXXXX` outside the control range, `\/`)
-//! still parse, so hand-edited journals load too.
+//! The JSON codec under its historical path: [`Value`] is
+//! [`hawkeye_metrics::json::Json`]. Kept for the standalone `perf/`
+//! benchmark crate; code in this workspace imports the codec from
+//! `hawkeye_metrics::json`.
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value. Objects preserve document order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (the writer only emits finite ones).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object, in document order.
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Object field by key (first match; `None` on non-objects).
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The number as an exact-enough `u64` (the writer's `Json::int` is
-    /// exact for |n| < 2^53; negatives and fractions read as `None`).
-    pub fn as_u64(&self) -> Option<u64> {
-        let x = self.as_f64()?;
-        if x.is_finite() && x >= 0.0 && x.fract() == 0.0 && x <= 9_007_199_254_740_992.0 {
-            Some(x as u64)
-        } else {
-            None
-        }
-    }
-
-    /// The string, if this is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The array items, if this is one.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Object fields as `(key, value)` pairs in document order.
-    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-
-    /// All numeric fields of an object, keyed by name (the shape trace
-    /// event payloads take).
-    pub fn numeric_fields(&self) -> BTreeMap<&str, f64> {
-        match self {
-            Value::Obj(pairs) => pairs
-                .iter()
-                .filter_map(|(k, v)| v.as_f64().map(|x| (k.as_str(), x)))
-                .collect(),
-            _ => BTreeMap::new(),
-        }
-    }
-}
-
-/// Parses one JSON document (trailing whitespace allowed, trailing junk
-/// rejected). Errors carry the byte offset they were noticed at.
-pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data after document"));
-    }
-    Ok(v)
-}
-
-/// The raw pull parser behind [`parse`]. The trace loader drives it
-/// directly (`crate::parse_trace`): a `.trace.json` document holds
-/// millions of tiny event objects, and materializing each as a
-/// [`Value::Obj`] (a `Vec` of owned-key pairs) costs ~10 heap allocations
-/// per event — the dominant cost of loading a journal back. Streaming over
-/// this parser reads the same grammar with borrowed keys instead.
-pub(crate) struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-/// A pull parser over `text`, positioned at the start.
-pub(crate) fn parser(text: &str) -> Parser<'_> {
-    Parser { bytes: text.as_bytes(), pos: 0 }
-}
-
-impl<'a> Parser<'a> {
-    pub(crate) fn err(&self, msg: &str) -> String {
-        format!("json error at byte {}: {}", self.pos, msg)
-    }
-
-    pub(crate) fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    pub(crate) fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    pub(crate) fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    pub(crate) fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(self.err(&format!("unexpected character '{}'", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            pairs.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    /// True once the whole input has been consumed.
-    pub(crate) fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    /// Consumes one value without keeping it (unknown keys in streamed
-    /// documents).
-    pub(crate) fn skip_value(&mut self) -> Result<(), String> {
-        self.value().map(|_| ())
-    }
-
-    /// Reads a string, borrowing from the input when it contains no
-    /// escapes (every key and kind the writer emits). Escaped strings
-    /// fall back to the allocating reader.
-    pub(crate) fn string_ref(&mut self) -> Result<std::borrow::Cow<'a, str>, String> {
-        let start = self.pos;
-        self.expect(b'"')?;
-        let mut i = self.pos;
-        while let Some(&b) = self.bytes.get(i) {
-            match b {
-                b'"' => {
-                    let s = std::str::from_utf8(&self.bytes[self.pos..i])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    self.pos = i + 1;
-                    return Ok(std::borrow::Cow::Borrowed(s));
-                }
-                b'\\' => {
-                    self.pos = start;
-                    return self.string().map(std::borrow::Cow::Owned);
-                }
-                _ => i += 1,
-            }
-        }
-        self.pos = i;
-        Err(self.err("unterminated string"))
-    }
-
-    /// Reads a number as `f64` (same grammar as [`Parser::number`]).
-    pub(crate) fn number_f64(&mut self) -> Result<f64, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        s.parse::<f64>().map_err(|_| self.err("invalid number"))
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogates never appear in writer output
-                            // (it escapes only control chars); map them to
-                            // the replacement character rather than fail.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(b) => {
-                    // Copy one UTF-8 scalar. The input arrived as a &str,
-                    // so `pos` always sits on a char boundary and the
-                    // leading byte gives the sequence length — decode just
-                    // those bytes (validating the whole remaining input per
-                    // character would make string parsing quadratic).
-                    let len = match b {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let c = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .and_then(|chunk| std::str::from_utf8(chunk).ok())
-                        .and_then(|s| s.chars().next())
-                        .ok_or_else(|| self.err("invalid utf-8"))?;
-                    out.push(c);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    pub(crate) fn number(&mut self) -> Result<Value, String> {
-        self.number_f64().map(Value::Num)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_nested_document() {
-        let v = parse(r#"{"name":"fig 1 \"bloat\"","rows":[3,1.5,true,null],"nan":null}"#)
-            .expect("parse");
-        assert_eq!(v.get("name").and_then(Value::as_str), Some(r#"fig 1 "bloat""#));
-        let rows = v.get("rows").and_then(Value::as_arr).expect("rows");
-        assert_eq!(rows[0].as_u64(), Some(3));
-        assert_eq!(rows[1].as_f64(), Some(1.5));
-        assert_eq!(rows[2], Value::Bool(true));
-        assert_eq!(rows[3], Value::Null);
-    }
-
-    #[test]
-    fn parses_writer_escapes() {
-        let v = parse(r#""a\nb\t\u0001""#).expect("parse");
-        assert_eq!(v.as_str(), Some("a\nb\t\u{1}"));
-    }
-
-    #[test]
-    fn rejects_trailing_junk_and_truncation() {
-        assert!(parse("{} x").is_err());
-        assert!(parse(r#"{"a":"#).is_err());
-        assert!(parse(r#"{"a" 1}"#).is_err());
-        assert!(parse("[1,").is_err());
-        assert!(parse("tru").is_err());
-        assert!(parse("").is_err());
-    }
-
-    #[test]
-    fn numbers_roundtrip_through_shortest_form() {
-        // The writer uses Rust's shortest-roundtrip f64 formatting; the
-        // parser must read those bytes back to the identical value.
-        for x in [0.0, -1.5, 0.30000000000000004, 2.3e9, 1e-12] {
-            let v = parse(&format!("{x}")).expect("parse");
-            assert_eq!(v.as_f64(), Some(x));
-        }
-        assert_eq!(parse("9007199254740992").expect("p").as_u64(), Some(9007199254740992));
-        assert_eq!(parse("-3").expect("p").as_u64(), None);
-        assert_eq!(parse("1.5").expect("p").as_u64(), None);
-    }
-
-    #[test]
-    fn empty_containers() {
-        assert_eq!(parse("[]").expect("arr"), Value::Arr(vec![]));
-        assert_eq!(parse("{}").expect("obj"), Value::Obj(vec![]));
-        assert_eq!(parse(" { } ").expect("obj"), Value::Obj(vec![]));
-    }
-}
+pub use hawkeye_metrics::json::{parse, Json as Value};

@@ -2,9 +2,10 @@
 //!
 //! The bench harness (run with `HAWKEYE_TRACE=1`) writes
 //! `target/bench-results/<target>.trace.json` — every scenario's event
-//! journal, flattened to `{t, pid, machine, kind, <payload>}` rows. This
-//! crate loads those documents back into typed
-//! [`hawkeye_trace::TraceRecord`]s and renders per-scenario reports:
+//! journal, flattened to `{t, pid, machine, kind, <payload>}` rows.
+//! [`hawkeye_trace::parse_trace`] loads those documents back into typed
+//! [`hawkeye_trace::TraceRecord`]s; this crate renders per-scenario
+//! reports from them:
 //!
 //! * **Cycle attribution** — the final [`TraceEvent::CycleSample`] per
 //!   machine gives the exact subsystem breakdown of `CPU_CLK_UNHALTED`
@@ -26,218 +27,16 @@
 pub mod envelope;
 pub mod fleet;
 pub mod json;
-pub mod obs;
 pub mod render;
 pub mod summary;
 
-use hawkeye_metrics::{Cycles, LogHistogram, TimeSeries};
-use hawkeye_trace::{TraceEvent, TraceRecord};
+use hawkeye_metrics::{LogHistogram, TimeSeries};
+use hawkeye_trace::{ScenarioTrace, TraceDoc, TraceEvent};
 use render::{bar, hist_line, pct_line};
 
-/// One parsed `.trace.json` document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceDoc {
-    /// The bench target the document came from.
-    pub target: String,
-    /// Scenario journals in submission order.
-    pub scenarios: Vec<ScenarioTrace>,
-}
-
-/// One scenario's journal.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioTrace {
-    /// Scenario name.
-    pub name: String,
-    /// Records the bounded ring overwrote before the journal was drained.
-    pub dropped: u64,
-    /// Records in emission order.
-    pub records: Vec<TraceRecord>,
-}
-
-/// Parses a `.trace.json` document produced by the bench harness back
-/// into typed records. Unknown event kinds and malformed payloads are
-/// errors — the journal format and [`TraceEvent::from_fields`] evolve
-/// together, so a mismatch means reader and writer are out of sync.
-///
-/// The document is streamed: journals hold millions of event objects and
-/// loading them through a generic JSON tree costs ~10 heap allocations
-/// per event, which dominates report-pipeline load time on fault-heavy
-/// targets. Keys stay borrowed from the input; only the typed
-/// [`TraceRecord`]s are allocated. Key order and unknown keys are
-/// tolerated, as before.
-pub fn parse_trace(text: &str) -> Result<TraceDoc, String> {
-    let mut p = json::parser(text);
-    p.skip_ws();
-    let mut target: Option<String> = None;
-    let mut scenarios: Vec<ScenarioTrace> = Vec::new();
-    let mut saw_scenarios = false;
-    walk_obj(&mut p, |p, key| match key.as_ref() {
-        "target" => {
-            target = Some(p.string_ref()?.into_owned());
-            Ok(())
-        }
-        "scenarios" => {
-            saw_scenarios = true;
-            walk_arr(p, |p| {
-                let i = scenarios.len();
-                let s = parse_scenario(p, i)?;
-                scenarios.push(s);
-                Ok(())
-            })
-        }
-        _ => p.skip_value(),
-    })?;
-    p.skip_ws();
-    if !p.at_end() {
-        return Err(p.err("trailing data after document"));
-    }
-    let target = target.ok_or("missing \"target\"")?;
-    if !saw_scenarios {
-        return Err("missing \"scenarios\"".to_string());
-    }
-    Ok(TraceDoc { target, scenarios })
-}
-
-/// Drives `field(parser, key)` over every `"key": value` pair of the
-/// object at the parser's position (the parser is left just past the
-/// closing brace; `field` must consume exactly the value). Keys borrow
-/// from the document whenever they contain no escapes.
-fn walk_obj<'a>(
-    p: &mut json::Parser<'a>,
-    mut field: impl FnMut(&mut json::Parser<'a>, std::borrow::Cow<'a, str>) -> Result<(), String>,
-) -> Result<(), String> {
-    p.skip_ws();
-    p.expect(b'{')?;
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        return p.expect(b'}');
-    }
-    loop {
-        p.skip_ws();
-        let key = p.string_ref()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        field(p, key)?;
-        p.skip_ws();
-        match p.peek() {
-            Some(b',') => p.expect(b',')?,
-            _ => return p.expect(b'}'),
-        }
-    }
-}
-
-/// Drives `item` over every element of the array at the parser's
-/// position (same contract as [`walk_obj`]).
-fn walk_arr<'a>(
-    p: &mut json::Parser<'a>,
-    mut item: impl FnMut(&mut json::Parser<'a>) -> Result<(), String>,
-) -> Result<(), String> {
-    p.skip_ws();
-    p.expect(b'[')?;
-    p.skip_ws();
-    if p.peek() == Some(b']') {
-        return p.expect(b']');
-    }
-    loop {
-        p.skip_ws();
-        item(p)?;
-        p.skip_ws();
-        match p.peek() {
-            Some(b',') => p.expect(b',')?,
-            _ => return p.expect(b']'),
-        }
-    }
-}
-
-/// Reads a number with [`json::Value::as_u64`]'s conversion rules.
-fn u64_number(p: &mut json::Parser<'_>, what: &str) -> Result<u64, String> {
-    let x = p.number_f64()?;
-    if x.is_finite() && x >= 0.0 && x.fract() == 0.0 && x <= 9_007_199_254_740_992.0 {
-        Ok(x as u64)
-    } else {
-        Err(format!("field \"{what}\" is not a u64"))
-    }
-}
-
-fn parse_scenario<'a>(p: &mut json::Parser<'a>, index: usize) -> Result<ScenarioTrace, String> {
-    let mut name: Option<String> = None;
-    let mut dropped: Option<u64> = None;
-    let mut records: Vec<TraceRecord> = Vec::new();
-    let mut saw_events = false;
-    // Scratch for one event's payload fields, reused across the journal.
-    let mut fields: Vec<(std::borrow::Cow<'a, str>, u64)> = Vec::new();
-    walk_obj(p, |p, key| match key.as_ref() {
-        "name" => {
-            name = Some(p.string_ref()?.into_owned());
-            Ok(())
-        }
-        "dropped" => {
-            dropped = Some(u64_number(p, "dropped")?);
-            Ok(())
-        }
-        "events" => {
-            saw_events = true;
-            walk_arr(p, |p| {
-                let j = records.len();
-                let label = || match &name {
-                    Some(n) => format!("scenario {n}, event {j}"),
-                    None => format!("scenario {index}, event {j}"),
-                };
-                let r = parse_record(p, &mut fields).map_err(|m| format!("{}: {m}", label()))?;
-                records.push(r);
-                Ok(())
-            })
-        }
-        _ => p.skip_value(),
-    })?;
-    let name = name.ok_or_else(|| format!("scenario {index}: missing \"name\""))?;
-    let dropped = dropped.ok_or_else(|| format!("scenario {name}: missing \"dropped\""))?;
-    if !saw_events {
-        return Err(format!("scenario {name}: missing \"events\""));
-    }
-    Ok(ScenarioTrace {
-        name,
-        dropped,
-        records,
-    })
-}
-
-fn parse_record<'a>(
-    p: &mut json::Parser<'a>,
-    fields: &mut Vec<(std::borrow::Cow<'a, str>, u64)>,
-) -> Result<TraceRecord, String> {
-    fields.clear();
-    let (mut t, mut pid, mut machine) = (None, None, None);
-    let mut kind: Option<std::borrow::Cow<'a, str>> = None;
-    if p.peek() != Some(b'{') {
-        // Consume the value so the error is about shape, not grammar.
-        p.skip_value()?;
-        return Err("event is not an object".to_string());
-    }
-    walk_obj(p, |p, key| {
-        match key.as_ref() {
-            "t" => t = Some(u64_number(p, "t")?),
-            "pid" => pid = Some(u64_number(p, "pid")?),
-            "machine" => machine = Some(u64_number(p, "machine")?),
-            "kind" => kind = Some(p.string_ref()?),
-            _ => {
-                let v = u64_number(p, &key)?;
-                fields.push((key, v));
-            }
-        }
-        Ok(())
-    })?;
-    let kind = kind.ok_or("missing \"kind\"")?;
-    let event = TraceEvent::from_fields(&kind, fields)
-        .ok_or_else(|| format!("unknown or incomplete event kind \"{kind}\""))?;
-    Ok(TraceRecord {
-        at: Cycles::new(t.ok_or("missing \"t\"")?),
-        pid: pid.ok_or("missing \"pid\"")? as u32,
-        machine: machine.ok_or("missing \"machine\"")? as u32,
-        event,
-    })
-}
+/// The trace reader under its historical path, kept for the standalone
+/// `perf/` benchmark crate; it lives in [`hawkeye_trace::doc`].
+pub use hawkeye_trace::parse_trace;
 
 /// One machine's final cumulative cycle breakdown, read from its last
 /// [`TraceEvent::CycleSample`].
@@ -571,6 +370,8 @@ pub fn report(doc: &TraceDoc) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hawkeye_metrics::Cycles;
+    use hawkeye_trace::TraceRecord;
 
     fn rec(at: u64, pid: u32, machine: u32, event: TraceEvent) -> TraceRecord {
         TraceRecord {
@@ -682,36 +483,6 @@ mod tests {
             "time-sorted: {secs:?}"
         );
         assert_eq!(s.samples()[1].value, 50.0);
-    }
-
-    #[test]
-    fn parse_trace_round_trips_bench_shape() {
-        let text = r#"{"target":"demo","scenarios":[{"name":"a","dropped":0,"events":[
-            {"t":5,"pid":1,"machine":0,"kind":"fault","vpn":7,"huge":1,"cow":0,"cycles":6095},
-            {"t":9,"pid":0,"machine":0,"kind":"oom"}
-        ]}]}"#;
-        let d = parse_trace(text).expect("parse");
-        assert_eq!(d.target, "demo");
-        assert_eq!(d.scenarios[0].records.len(), 2);
-        assert_eq!(
-            d.scenarios[0].records[0].event,
-            TraceEvent::Fault {
-                vpn: 7,
-                huge: true,
-                cow: false,
-                cycles: 6095
-            }
-        );
-        assert_eq!(d.scenarios[0].records[1].event, TraceEvent::Oom);
-    }
-
-    #[test]
-    fn parse_trace_rejects_unknown_kinds() {
-        let text = r#"{"target":"demo","scenarios":[{"name":"a","dropped":0,"events":[
-            {"t":5,"pid":1,"machine":0,"kind":"mystery"}
-        ]}]}"#;
-        let err = parse_trace(text).expect_err("must reject");
-        assert!(err.contains("mystery"), "{err}");
     }
 
     #[test]

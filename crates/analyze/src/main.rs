@@ -87,7 +87,7 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        let doc = match hawkeye_analyze::parse_trace(&text) {
+        let doc = match hawkeye_trace::parse_trace(&text) {
             Ok(d) => d,
             Err(e) => {
                 eprintln!("hawkeye-analyze: {path}: gate=parse: {e}");

@@ -4,14 +4,14 @@
 //! Every bench target writes `{target, title, rows: [...]}` via
 //! `Report::json`, and the scenario engine appends a `cycles` section —
 //! the drained cycle-attribution registries — on the way to disk. This
-//! module loads that document back: the `rows` stay raw [`Value`]s
+//! module loads that document back: the `rows` stay raw [`Json`]s
 //! (their schema is per-target; callers extract fields with
-//! [`Value::get`]), while the `cycles` section is parsed into typed
+//! [`Json::get`]), while the `cycles` section is parsed into typed
 //! ledgers matching [`crate::SUBSYSTEMS`] order so Table 1/4-style MMU
 //! overhead tables can be rebuilt offline.
 
-use crate::json::{self, Value};
 use crate::SUBSYSTEMS;
+use hawkeye_metrics::json::{self, Json};
 
 /// One parsed bench summary document.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,7 +21,7 @@ pub struct SummaryDoc {
     /// Human title printed above the bench table.
     pub title: String,
     /// Per-row headline numbers, schema per target (raw JSON values).
-    pub rows: Vec<Value>,
+    pub rows: Vec<Json>,
     /// The cycle-attribution section: one entry per scenario, present
     /// only when the engine captured registries (always-on since PR 4).
     pub cycles: Vec<ScenarioCycles>,
@@ -59,13 +59,13 @@ impl SummaryDoc {
     }
 }
 
-fn ledger(v: &Value, key: &str) -> Result<[u64; 8], String> {
+fn ledger(v: &Json, key: &str) -> Result<[u64; 8], String> {
     let obj = v.get(key).ok_or_else(|| format!("missing \"{key}\" ledger"))?;
     let mut out = [0u64; 8];
     for (i, name) in SUBSYSTEMS.iter().enumerate() {
         out[i] = obj
             .get(name)
-            .and_then(Value::as_u64)
+            .and_then(Json::as_u64)
             .ok_or_else(|| format!("ledger \"{key}\" missing subsystem \"{name}\""))?;
     }
     Ok(out)
@@ -78,31 +78,31 @@ pub fn parse_summary(text: &str) -> Result<SummaryDoc, String> {
     let doc = json::parse(text)?;
     let target = doc
         .get("target")
-        .and_then(Value::as_str)
+        .and_then(Json::as_str)
         .ok_or("missing \"target\"")?
         .to_string();
     let title = doc
         .get("title")
-        .and_then(Value::as_str)
+        .and_then(Json::as_str)
         .unwrap_or_default()
         .to_string();
     let rows = doc
         .get("rows")
-        .and_then(Value::as_arr)
+        .and_then(Json::as_arr)
         .ok_or("missing \"rows\"")?
         .to_vec();
     let mut cycles = Vec::new();
-    if let Some(section) = doc.get("cycles").and_then(Value::as_arr) {
+    if let Some(section) = doc.get("cycles").and_then(Json::as_arr) {
         for (i, sc) in section.iter().enumerate() {
             let scenario = sc
                 .get("scenario")
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .ok_or_else(|| format!("cycles[{i}]: missing \"scenario\""))?
                 .to_string();
             let mut machines = Vec::new();
             for (j, m) in sc
                 .get("machines")
-                .and_then(Value::as_arr)
+                .and_then(Json::as_arr)
                 .ok_or_else(|| format!("cycles[{i}]: missing \"machines\""))?
                 .iter()
                 .enumerate()
@@ -111,13 +111,13 @@ pub fn parse_summary(text: &str) -> Result<SummaryDoc, String> {
                 machines.push(MachineCycles {
                     machine: m
                         .get("machine")
-                        .and_then(Value::as_u64)
+                        .and_then(Json::as_u64)
                         .ok_or_else(|| ctx("missing \"machine\"".into()))?,
                     unhalted: m
                         .get("unhalted")
-                        .and_then(Value::as_u64)
+                        .and_then(Json::as_u64)
                         .ok_or_else(|| ctx("missing \"unhalted\"".into()))?,
-                    residue: m.get("residue").and_then(Value::as_f64),
+                    residue: m.get("residue").and_then(Json::as_f64),
                     cpu: ledger(m, "cpu").map_err(&ctx)?,
                     daemon: ledger(m, "daemon").map_err(&ctx)?,
                 });
@@ -153,7 +153,7 @@ mod tests {
         let d = parse_summary(DOC).expect("parse");
         assert_eq!(d.target, "table1_fault_latency");
         assert_eq!(d.rows.len(), 1);
-        assert_eq!(d.rows[0].get("faults").and_then(Value::as_u64), Some(409600));
+        assert_eq!(d.rows[0].get("faults").and_then(Json::as_u64), Some(409600));
         let sc = d.scenario_cycles("Linux-4KB").expect("scenario");
         assert_eq!(sc.machines[0].cpu, [10, 20, 30, 0, 0, 0, 0, 40]);
         assert_eq!(sc.machines[0].daemon[2], 5);

@@ -1,69 +1,15 @@
-//! End-to-end tests of the trace→analyze pipeline against the real bench
-//! writer: journals serialized by `hawkeye-bench` must parse back into
-//! structurally identical records (round-trip), and the analyzer's report
-//! must be byte-identical regardless of how many workers produced the
-//! journal (the bench determinism rule extends through the reader).
+//! End-to-end test of the trace→analyze pipeline on real bench journals:
+//! the analyzer's report must be byte-identical regardless of how many
+//! workers produced the journal (the bench determinism rule extends
+//! through the reader). The writer/reader round trip itself is pinned
+//! next to the codec, in `hawkeye_trace::doc`.
 
-use hawkeye_analyze::{contention, parse_trace, report, residues};
-use hawkeye_bench::{run_one, trace_json, PolicyKind, Run, Scenario};
+use hawkeye_analyze::{contention, report, residues};
+use hawkeye_bench::{run_one, PolicyKind, Run, Scenario};
 use hawkeye_kernel::Simulator;
 use hawkeye_metrics::Cycles;
-use hawkeye_trace::{Journal, TraceEvent, TraceRecord};
+use hawkeye_trace::{parse_trace, trace_json};
 use hawkeye_workloads::AllocTouch;
-
-#[test]
-fn every_event_variant_round_trips_through_the_writer() {
-    let events = vec![
-        TraceEvent::Fault { vpn: 7, huge: true, cow: false, cycles: 6095 },
-        TraceEvent::Fault { vpn: u64::MAX >> 11, huge: false, cow: true, cycles: 0 },
-        TraceEvent::Promote { hvpn: 5, copied: 3, filled: 509, cycles: 123_456 },
-        TraceEvent::Demote { hvpn: 9, cycles: 0 },
-        TraceEvent::Compact { migrated: 128, huge_blocks: 4 },
-        TraceEvent::PreZero { pages: 512 },
-        TraceEvent::Dedup { hvpn: 1, zero_pages: 400, demoted: true, cycles: 77 },
-        TraceEvent::Oom,
-        TraceEvent::Contention {
-            core: 6,
-            role: 2,
-            acquisitions: 9001,
-            cas_retries: 321,
-            stall_cycles: 1_234_567,
-        },
-        TraceEvent::QuantumEnd { load_walk: 1, store_walk: 2, unhalted: 3, walks: 4 },
-        TraceEvent::CycleSample {
-            walk: 1,
-            fault: 2,
-            zero: 3,
-            copy: 4,
-            scan: 5,
-            compact: 6,
-            dedup: 7,
-            idle: 8,
-            unhalted: 36,
-            daemon: 9,
-        },
-    ];
-    let records: Vec<TraceRecord> = events
-        .into_iter()
-        .enumerate()
-        .map(|(i, event)| TraceRecord {
-            at: Cycles::new(i as u64 * 1000),
-            pid: i as u32 % 3,
-            machine: i as u32 % 2,
-            event,
-        })
-        .collect();
-    let journal = Journal { records: records.clone(), dropped: 2 };
-    let text = trace_json("roundtrip", &[("all-variants \"quoted\"".to_string(), journal)])
-        .to_string();
-    let doc = parse_trace(&text).expect("writer output must parse");
-    assert_eq!(doc.target, "roundtrip");
-    assert_eq!(doc.scenarios.len(), 1);
-    let s = &doc.scenarios[0];
-    assert_eq!(s.name, "all-variants \"quoted\"");
-    assert_eq!(s.dropped, 2);
-    assert_eq!(s.records, records, "records must survive the writer→parser trip");
-}
 
 /// Two policies, long enough (~280 simulated ms) that the 100 ms sampler
 /// emits `cycle_sample` snapshots into the journal. HawkEye-PMU also

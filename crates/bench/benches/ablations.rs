@@ -10,13 +10,12 @@
 //! tables and written as one `ablations.json` with a `sections` array
 //! and the scenarios' `cycles` section.
 
-use hawkeye_bench::json::write_results;
-use hawkeye_bench::{
-    cycles_json, dirty_free_memory, secs, Json, PolicyKind, Report, Row, Run, Scenario,
-};
+use hawkeye_bench::scenario::{results_dir, write_artifact};
+use hawkeye_bench::{cycles_json, dirty_free_memory, secs, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_core::{BloatRecovery, HawkEye, HawkEyeConfig};
 use hawkeye_kernel::{workload::script, KernelConfig, Machine, MemOp, Simulator};
 use hawkeye_mem::{PageContent, Pfn};
+use hawkeye_metrics::json::Json;
 use hawkeye_metrics::Cycles;
 use hawkeye_tlb::{InterferenceModel, StoreMode};
 use hawkeye_vm::{VmaKind, Vpn};
@@ -211,7 +210,7 @@ fn main() {
         ("sections", Json::Arr(section_jsons)),
         ("cycles", cycles_json(&run.registries)),
     ]);
-    match write_results("ablations", &summary) {
+    match write_artifact(&results_dir(), "ablations", &format!("{summary}\n")) {
         Ok(path) => eprintln!("[ablations] wrote {}", path.display()),
         Err(e) => eprintln!("[ablations] could not write ablations.json: {e}"),
     }

@@ -13,8 +13,9 @@
 
 use std::time::Instant;
 
-use hawkeye_bench::{run_one, Json, PolicyKind, Report, Row, Run, Scenario};
+use hawkeye_bench::{run_one, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_kernel::{MemOp, Workload};
+use hawkeye_metrics::json::Json;
 use hawkeye_vm::{Vpn, VmaKind};
 use hawkeye_workloads::{DirtModel, PatternScan};
 

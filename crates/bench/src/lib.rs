@@ -20,12 +20,16 @@
 
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod scenario;
 pub mod suite;
 
-pub use json::Json;
-pub use scenario::{cycles_json, trace_json, write_json_in, Report, Row, Run, Scenario, TargetRun};
+pub use scenario::{cycles_json, write_json_in, Report, Row, Run, Scenario, TargetRun};
+
+// The codec and the trace writer under their historical paths, kept for
+// the standalone `perf/` benchmark crate; workspace code imports them
+// from `hawkeye_metrics::json` and `hawkeye_trace`.
+pub use hawkeye_metrics::json::Json;
+pub use hawkeye_trace::trace_json;
 
 use hawkeye_core::{HawkEye, HawkEyeConfig};
 use hawkeye_kernel::{BasePagesOnly, HugePagePolicy, KernelConfig, Machine, Simulator, Workload};

@@ -15,14 +15,14 @@
 //! table every target used to hand-roll and the machine-readable JSON
 //! summary [`write_json_in`] writes to `<dir>/<target>.json`.
 
-use crate::json::{self, Json};
 use crate::RunOutcome;
 use hawkeye_fleet::pool::{self, Job};
 use hawkeye_kernel::Simulator;
+use hawkeye_metrics::json::Json;
 use hawkeye_metrics::{registry, Registry, Subsystem};
-use hawkeye_trace::{scope, Journal};
+use hawkeye_trace::{scope, trace_doc_string, Journal};
 use std::panic::{self, AssertUnwindSafe};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// One independent unit of a bench target: a named closure producing a
@@ -226,7 +226,7 @@ impl Run {
 
 /// The text of a caught panic payload (`panic!` with a literal or a
 /// formatted message); anything else is reported as opaque.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(payload) => match payload.downcast::<&str>() {
@@ -257,97 +257,11 @@ pub struct TargetRun {
 
 impl TargetRun {
     /// Prints the report's text to stdout and writes every artifact
-    /// under [`json::results_dir`].
+    /// under [`results_dir`].
     pub fn print_and_write(&self) {
         print!("{}", self.report.text());
-        write_json_in(&json::results_dir(), self);
+        write_json_in(&results_dir(), self);
     }
-}
-
-/// Serializes the `.trace.json` document for one target straight into a
-/// `String` — byte-for-byte what [`trace_json`] + [`Json::write_into`]
-/// produce, without materializing a [`Json`] tree first. Journals run to
-/// millions of events; the intermediate tree costs ~10 heap allocations
-/// per event (a `Vec` of pairs plus owned key strings), which dominates
-/// the artifact dump on fault-heavy targets. A test pins the two paths
-/// byte-identical across every event kind.
-pub fn trace_doc_string(target: &str, journals: &[(String, Journal)]) -> String {
-    // ~95 bytes/event across the suite's journals; oversizing slightly
-    // avoids a late doubling of a hundred-megabyte buffer.
-    let events: usize = journals.iter().map(|(_, j)| j.records.len()).sum();
-    let mut out = String::with_capacity(128 * events + 1024);
-    out.push_str("{\"target\":");
-    json::escape_into(target, &mut out);
-    out.push_str(",\"scenarios\":[");
-    for (i, (name, journal)) in journals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
-        json::escape_into(name, &mut out);
-        out.push_str(",\"dropped\":");
-        json::num_into(journal.dropped as f64, &mut out);
-        out.push_str(",\"events\":[");
-        for (j, r) in journal.records.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"t\":");
-            json::num_into(r.at.get() as f64, &mut out);
-            out.push_str(",\"pid\":");
-            json::num_into(r.pid as f64, &mut out);
-            out.push_str(",\"machine\":");
-            json::num_into(r.machine as f64, &mut out);
-            out.push_str(",\"kind\":");
-            json::escape_into(r.event.kind(), &mut out);
-            for (k, v) in r.event.fields() {
-                out.push(',');
-                json::escape_into(k, &mut out);
-                out.push(':');
-                json::num_into(v as f64, &mut out);
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
-}
-
-/// The `.trace.json` document for one target: every scenario's journal in
-/// submission order, each event flattened to `{t, pid, machine, kind,
-/// <payload fields>}`.
-pub fn trace_json(target: &str, journals: &[(String, Journal)]) -> Json {
-    let scenarios = journals
-        .iter()
-        .map(|(name, journal)| {
-            let events = journal
-                .records
-                .iter()
-                .map(|r| {
-                    let mut fields = vec![
-                        ("t", Json::int(r.at.get())),
-                        ("pid", Json::int(r.pid as u64)),
-                        ("machine", Json::int(r.machine as u64)),
-                        ("kind", Json::str(r.event.kind())),
-                    ];
-                    for (k, v) in r.event.fields() {
-                        fields.push((k, Json::int(v)));
-                    }
-                    Json::obj(fields)
-                })
-                .collect();
-            Json::obj(vec![
-                ("name", Json::str(name.clone())),
-                ("dropped", Json::int(journal.dropped)),
-                ("events", Json::Arr(events)),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("target", Json::str(target)),
-        ("scenarios", Json::Arr(scenarios)),
-    ])
 }
 
 /// The `cycles` section of a JSON summary: for every scenario, each
@@ -579,33 +493,50 @@ pub fn write_json_in(dir: &Path, run: &TargetRun) -> Vec<(&'static str, f64)> {
     if !run.registries.is_empty() {
         summary.push("cycles", cycles_json(&run.registries));
     }
-    report_write(json::write_results_in(dir, target, &summary), target);
+    let mut doc = String::new();
+    summary.write_into(&mut doc);
+    doc.push('\n');
+    report_write(write_artifact(dir, target, &doc), target);
     phases.push(("summary_write", t0.elapsed().as_secs_f64()));
     if !run.journals.is_empty() {
         let t0 = Instant::now();
         let stem = format!("{target}.trace");
         let mut doc = trace_doc_string(target, &run.journals);
         doc.push('\n');
-        report_write(write_text(dir, &stem, doc), &stem);
+        report_write(write_artifact(dir, &stem, &doc), &stem);
         phases.push(("trace_write", t0.elapsed().as_secs_f64()));
     }
     if let Some(doc) = &run.obs_doc {
         let stem = format!("{target}.obs");
-        report_write(write_text(dir, &stem, format!("{doc}\n")), &stem);
+        report_write(write_artifact(dir, &stem, &format!("{doc}\n")), &stem);
     }
     phases
 }
 
-/// Writes `<dir>/<stem>.json` verbatim.
-fn write_text(dir: &Path, stem: &str, doc: String) -> std::io::Result<std::path::PathBuf> {
+/// Directory bench results are written to:
+/// `HAWKEYE_BENCH_RESULTS` override, else `CARGO_TARGET_DIR`, else the
+/// workspace `target/`, each with a `bench-results/` subdirectory.
+pub fn results_dir() -> PathBuf {
+    if let Ok(dir) = std::env::var("HAWKEYE_BENCH_RESULTS") {
+        return PathBuf::from(dir);
+    }
+    let target = std::env::var("CARGO_TARGET_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target"));
+    target.join("bench-results")
+}
+
+/// Writes `text` to `<dir>/<stem>.json` (creating `dir`) and returns the
+/// path: the one artifact-file writer.
+pub fn write_artifact(dir: &Path, stem: &str, text: &str) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{stem}.json"));
-    std::fs::write(&path, doc)?;
+    std::fs::write(&path, text)?;
     Ok(path)
 }
 
 /// Reports one artifact write on stderr, keeping stdout deterministic.
-fn report_write(result: std::io::Result<std::path::PathBuf>, stem: &str) {
+fn report_write(result: std::io::Result<PathBuf>, stem: &str) {
     match result {
         Ok(path) => eprintln!("[scenario-engine] wrote {}", path.display()),
         Err(e) => eprintln!("[scenario-engine] could not write {stem}.json: {e}"),
@@ -626,105 +557,6 @@ mod tests {
     fn scenario_types_are_send() {
         assert_send::<Scenario<Row>>();
         assert_send::<Simulator>();
-    }
-
-    #[test]
-    fn streamed_trace_doc_matches_tree_serialization() {
-        use hawkeye_metrics::Cycles;
-        use hawkeye_trace::{Journal, TraceEvent, TraceRecord};
-        // One record per event kind, plus name characters that need
-        // escaping — the streaming writer must reproduce the tree
-        // serialization byte for byte.
-        let events = vec![
-            TraceEvent::Fault {
-                vpn: 7,
-                huge: true,
-                cow: false,
-                cycles: 6095,
-            },
-            TraceEvent::Promote {
-                hvpn: 3,
-                copied: 512,
-                filled: 0,
-                cycles: 1,
-            },
-            TraceEvent::Demote { hvpn: 3, cycles: 2 },
-            TraceEvent::Compact {
-                migrated: 10,
-                huge_blocks: 2,
-            },
-            TraceEvent::PreZero { pages: 512 },
-            TraceEvent::Dedup {
-                hvpn: 4,
-                zero_pages: 100,
-                demoted: true,
-                cycles: 9,
-            },
-            TraceEvent::Oom,
-            TraceEvent::QuantumEnd {
-                load_walk: 1,
-                store_walk: 2,
-                unhalted: 3,
-                walks: 4,
-            },
-            TraceEvent::CycleSample {
-                walk: 1,
-                fault: 2,
-                zero: 3,
-                copy: 4,
-                scan: 5,
-                compact: 6,
-                dedup: 7,
-                idle: 8,
-                unhalted: 36,
-                daemon: 9,
-            },
-            TraceEvent::Contention {
-                core: 3,
-                role: 1,
-                acquisitions: 250,
-                cas_retries: 17,
-                stall_cycles: 42_000,
-            },
-            TraceEvent::SloBreach {
-                rule: 0,
-                epoch: 3,
-                cohort: 1,
-            },
-            TraceEvent::SloRecover {
-                rule: 0,
-                epoch: 6,
-                cohort: 1,
-            },
-        ];
-        let records = events
-            .into_iter()
-            .enumerate()
-            .map(|(i, event)| TraceRecord {
-                at: Cycles::new(i as u64 * 1_000_000_007),
-                pid: i as u32,
-                machine: (i % 2) as u32,
-                event,
-            })
-            .collect();
-        let journals = vec![
-            (
-                "quoted \"name\"\n".to_string(),
-                Journal {
-                    records,
-                    dropped: 3,
-                },
-            ),
-            (
-                "empty".to_string(),
-                Journal {
-                    records: Vec::new(),
-                    dropped: 0,
-                },
-            ),
-        ];
-        let streamed = trace_doc_string("demo \\target", &journals);
-        assert_eq!(streamed, trace_json("demo \\target", &journals).to_string());
     }
 
     #[test]

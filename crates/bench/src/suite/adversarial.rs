@@ -20,9 +20,10 @@
 //! first intensity where that happens is the policy's failure knee,
 //! tabulated in the generated ENVELOPES.md (DESIGN.md §17).
 
-use crate::{pct, secs, Json, PolicyKind, Report, Row, Run, Scenario};
+use crate::{pct, secs, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_kernel::{Simulator, Workload};
 use hawkeye_metrics::Cycles;
+use hawkeye_metrics::json::Json;
 use hawkeye_workloads::{BloatAttacker, BtreeOltp, FragAttacker};
 
 /// The attack-knob sweep; 0.0 is the unattacked control point.

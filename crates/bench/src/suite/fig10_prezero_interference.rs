@@ -6,7 +6,8 @@
 //! caching stores but only 6 % with non-temporal hints; the production
 //! daemon is rate-limited ~25× lower, shrinking both numbers further.
 
-use crate::{Json, Report, Row, Run, Scenario};
+use crate::{Report, Row, Run, Scenario};
+use hawkeye_metrics::json::Json;
 use hawkeye_tlb::{InterferenceModel, StoreMode};
 
 /// Builds the `fig10` report: worst-case interference of the async pre-zeroing thread.

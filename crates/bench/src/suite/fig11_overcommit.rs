@@ -6,9 +6,10 @@
 //! async pre-zeroing plus host same-page merging matching ballooning's
 //! throughput (2.3× for Redis) without any paravirtual interface.
 
-use crate::{Json, PolicyKind, Report, Row, Run, Scenario};
+use crate::{PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_core::{HawkEye, HawkEyeConfig};
 use hawkeye_kernel::{HugePagePolicy, Workload};
+use hawkeye_metrics::json::Json;
 use hawkeye_policies::LinuxThp;
 use hawkeye_virt::{VirtConfig, VirtSystem, VmSpec};
 use hawkeye_workloads::{HotspotWorkload, NpbKernel, RedisKv, RedisOp};

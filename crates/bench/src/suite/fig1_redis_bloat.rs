@@ -6,9 +6,10 @@
 //! drive Linux and Ingens out of memory while HawkEye recovers bloat and
 //! survives. Scaled here 256×: 176 MiB machine, 160 MiB dataset.
 
-use crate::{format_series, Json, PolicyKind, Report, Row, Run, Scenario};
+use crate::{format_series, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_kernel::Simulator;
 use hawkeye_metrics::Cycles;
+use hawkeye_metrics::json::Json;
 use hawkeye_workloads::{RedisKv, RedisOp};
 
 fn redis_script() -> Vec<RedisOp> {

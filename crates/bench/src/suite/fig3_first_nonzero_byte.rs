@@ -5,7 +5,8 @@
 //! Here we sample each workload family's content model and print the
 //! empirical means alongside the paper's suite averages.
 
-use crate::{Json, Report, Row, Run, Scenario};
+use crate::{Report, Row, Run, Scenario};
+use hawkeye_metrics::json::Json;
 use hawkeye_workloads::DirtModel;
 
 /// Builds the `fig3` report: average distance to the first non-zero byte in 4 KB pages.

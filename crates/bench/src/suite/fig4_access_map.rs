@@ -6,8 +6,9 @@
 //! highest non-empty bucket with round-robin among tied processes,
 //! producing the order `A1,B1,C1,C2,B2,C3,C4,B3,B4,A2,C5,A3`.
 
-use crate::{Json, Report, Row, Run, Scenario};
+use crate::{Report, Row, Run, Scenario};
 use hawkeye_core::AccessMap;
+use hawkeye_metrics::json::Json;
 use hawkeye_vm::Hvpn;
 use std::collections::BTreeMap;
 

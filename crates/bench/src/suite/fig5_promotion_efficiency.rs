@@ -8,8 +8,9 @@
 //! 22 % over never-promoting, 6.7× (G) / 44× (PMU) better time saved per
 //! promotion than Linux on XSBench.
 
-use crate::{run_one, secs, spd, Json, PolicyKind, Report, Row, Run, Scenario};
+use crate::{run_one, secs, spd, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_kernel::Workload;
+use hawkeye_metrics::json::Json;
 use hawkeye_workloads::{HotspotWorkload, NpbKernel};
 
 fn workload(name: &str) -> Box<dyn Workload> {

@@ -8,8 +8,9 @@
 //! HawkEye eliminating XSBench's overheads in ~300 s while Linux/Ingens
 //! are still above them after 1000 s.
 
-use crate::{format_series, run_one, Json, PolicyKind, Report, Row, Run, Scenario};
+use crate::{format_series, run_one, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_kernel::Workload;
+use hawkeye_metrics::json::Json;
 use hawkeye_workloads::HotspotWorkload;
 
 fn workload(name: &str) -> Box<dyn Workload> {

@@ -7,9 +7,10 @@
 //! instances round-robin — the paper measures 1.13–1.15× average speedup
 //! for HawkEye vs ~1.0–1.06× for Linux/Ingens.
 
-use crate::{secs, spd, Json, PolicyKind, Report, Row, Run, Scenario};
+use crate::{secs, spd, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_kernel::{Simulator, Workload};
 use hawkeye_metrics::Cycles;
+use hawkeye_metrics::json::Json;
 use hawkeye_workloads::HotspotWorkload;
 
 fn instance(name: &str) -> Box<dyn Workload> {

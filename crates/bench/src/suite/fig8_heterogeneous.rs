@@ -7,9 +7,10 @@
 //! and is order-independent — the paper measures 15–60 % speedups for the
 //! sensitive apps under HawkEye in both orders.
 
-use crate::{spd, Json, PolicyKind, Report, Row, Run, Scenario};
+use crate::{spd, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_kernel::{Simulator, Workload};
 use hawkeye_metrics::Cycles;
+use hawkeye_metrics::json::Json;
 use hawkeye_workloads::{HotspotWorkload, NpbKernel, RedisKv};
 
 fn sensitive(name: &str) -> Box<dyn Workload> {

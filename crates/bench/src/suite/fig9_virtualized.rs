@@ -6,9 +6,10 @@
 //! actually map huge contribute. The paper measures 18–90 % speedups over
 //! all-Linux; the `both` configuration wins.
 
-use crate::{secs, spd, Json, PolicyKind, Report, Row, Run, Scenario};
+use crate::{secs, spd, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_core::{HawkEye, HawkEyeConfig};
 use hawkeye_kernel::{HugePagePolicy, Workload};
+use hawkeye_metrics::json::Json;
 use hawkeye_policies::LinuxThp;
 use hawkeye_virt::{VirtSystem, VmSpec};
 use hawkeye_workloads::{HotspotWorkload, NpbKernel};

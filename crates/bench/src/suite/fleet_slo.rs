@@ -10,10 +10,10 @@
 //! Sampled host journals ride into `fleet_slo.trace.json` through the
 //! target's [`Run`].
 
-use crate::{pct, Json, PolicyKind, Report, Row, Run};
+use crate::{pct, PolicyKind, Report, Row, Run};
 use hawkeye_fleet::{CohortSpec, FleetConfig, NoopHook, ThrottleUnderPressure};
 use hawkeye_kernel::{HugePagePolicy, KernelConfig};
-use hawkeye_obs::ObsDoc;
+use hawkeye_metrics::json::Json;
 use hawkeye_trace::Journal;
 use std::time::Instant;
 
@@ -87,7 +87,7 @@ pub fn report_with(cfg: &FleetConfig, run: &mut Run) -> Report {
         if !records.is_empty() {
             result.journals.push(("obs/slo".to_string(), Journal { records, dropped: 0 }));
         }
-        run.obs_doc = Some(obs_doc_json(&doc).to_string());
+        run.obs_doc = Some(doc.to_json().to_string());
     }
     run.journals.append(&mut result.journals);
 
@@ -151,90 +151,6 @@ pub fn report_with(cfg: &FleetConfig, run: &mut Run) -> Report {
 /// The standard `fleet_slo` target: 1024 hosts per cohort.
 pub fn report(run: &mut Run) -> Report {
     report_with(&FleetConfig::slo(), run)
-}
-
-/// Serializes an [`ObsDoc`] with the key order `hawkeye-analyze`'s
-/// `parse_obs` mirrors: target, schema_version, rules, cohorts (each
-/// cohort: cohort, points, alerts, anomalies).
-fn obs_doc_json(doc: &ObsDoc) -> Json {
-    let rules = doc
-        .rules
-        .iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("name", Json::str(r.name.clone())),
-                ("series", Json::str(r.series.clone())),
-                ("threshold", Json::num(r.threshold)),
-                ("fast_window", Json::int(r.fast_window)),
-                ("slow_window", Json::int(r.slow_window)),
-                ("fast_burn", Json::num(r.fast_burn)),
-                ("slow_burn", Json::num(r.slow_burn)),
-                ("direction", Json::str(r.direction.clone())),
-            ])
-        })
-        .collect();
-    let cohorts = doc
-        .cohorts
-        .iter()
-        .map(|c| {
-            let points = c
-                .series
-                .points
-                .iter()
-                .map(|p| {
-                    Json::obj(vec![
-                        ("epoch", Json::int(p.epoch as u64)),
-                        ("faults", Json::int(p.faults)),
-                        ("p50_us", Json::num(p.p50_us)),
-                        ("p90_us", Json::num(p.p90_us)),
-                        ("p99_us", Json::num(p.p99_us)),
-                        ("p999_us", Json::num(p.p999_us)),
-                        ("mmu_overhead", Json::num(p.mmu_overhead)),
-                        ("rss_headroom", Json::num(p.rss_headroom)),
-                        ("fmfi", Json::num(p.fmfi)),
-                    ])
-                })
-                .collect();
-            let alerts = c
-                .alerts
-                .iter()
-                .map(|a| {
-                    Json::obj(vec![
-                        ("rule", Json::int(a.rule)),
-                        ("name", Json::str(a.name.clone())),
-                        ("epoch", Json::int(a.epoch as u64)),
-                        ("kind", Json::str(a.kind.name())),
-                        ("fast", Json::num(a.fast)),
-                        ("slow", Json::num(a.slow)),
-                    ])
-                })
-                .collect();
-            let anomalies = c
-                .anomalies
-                .iter()
-                .map(|a| {
-                    Json::obj(vec![
-                        ("series", Json::str(a.series.clone())),
-                        ("epoch", Json::int(a.epoch as u64)),
-                        ("value", Json::num(a.value)),
-                        ("z", Json::num(a.z)),
-                    ])
-                })
-                .collect();
-            Json::obj(vec![
-                ("cohort", Json::str(c.series.cohort.clone())),
-                ("points", Json::Arr(points)),
-                ("alerts", Json::Arr(alerts)),
-                ("anomalies", Json::Arr(anomalies)),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("target", Json::str(doc.target.clone())),
-        ("schema_version", Json::int(doc.schema_version)),
-        ("rules", Json::Arr(rules)),
-        ("cohorts", Json::Arr(cohorts)),
-    ])
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 //! machine (a freshly-booted HPC node), which is where the paper's
 //! fault-time huge pages and HawkEye's promotion should converge.
 
-use crate::{pct, run_one, secs, spd, Json, PolicyKind, Report, Row, Run, Scenario};
+use crate::{pct, run_one, secs, spd, PolicyKind, Report, Row, Run, Scenario};
+use hawkeye_metrics::json::Json;
 use hawkeye_workloads::StencilSweep;
 
 /// Finest-grid span (2 MB regions) and V-cycle count for the suite run.

@@ -11,11 +11,12 @@
 //! (exec time, faults and promotions are identical in every row of a
 //! policy; the differential test enforces it bit-for-bit).
 
-use crate::{secs, Json, PolicyKind, Report, Row, Run, Scenario};
+use crate::{secs, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_kernel::multicore::CoreRole;
 use hawkeye_kernel::workload::script;
 use hawkeye_kernel::{MemOp, Simulator};
 use hawkeye_metrics::Cycles;
+use hawkeye_metrics::json::Json;
 use hawkeye_vm::{VmaKind, Vpn};
 
 /// App faults, daemon promotion/scan passes and madvise churn over the

@@ -11,7 +11,8 @@
 //! regions first) from sequential-VA scanning. Not a figure of the
 //! paper: this is DESIGN.md §17's first generalization family.
 
-use crate::{pct, run_one, secs, spd, Json, PolicyKind, Report, Row, Run, Scenario};
+use crate::{pct, run_one, secs, spd, PolicyKind, Report, Row, Run, Scenario};
+use hawkeye_metrics::json::Json;
 use hawkeye_workloads::BtreeOltp;
 
 /// Leaf span (2 MB regions) and transaction count for the suite run.

@@ -7,9 +7,10 @@
 //! low but *not* the fault count, so it loses overall; removing zeroing
 //! from the fault path (HawkEye's async pre-zeroing) wins on both axes.
 
-use crate::{dirty_free_memory, secs, Json, PolicyKind, Report, Row, Run, RunOutcome, Scenario};
+use crate::{dirty_free_memory, secs, PolicyKind, Report, Row, Run, RunOutcome, Scenario};
 use hawkeye_kernel::{workload::script, MemOp, Simulator};
 use hawkeye_metrics::Cycles;
+use hawkeye_metrics::json::Json;
 use hawkeye_workloads::AllocTouch;
 
 fn run_dirty(kind: PolicyKind, pages: u64, runs: u32) -> RunOutcome {

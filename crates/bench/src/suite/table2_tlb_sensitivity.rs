@@ -4,7 +4,8 @@
 //! with Linux THP on pristine memory; an application is TLB-sensitive if
 //! huge pages speed it up by more than 3 %. The paper counts 15/79.
 
-use crate::{run_one, Json, PolicyKind, Report, Row, Run, Scenario};
+use crate::{run_one, PolicyKind, Report, Row, Run, Scenario};
+use hawkeye_metrics::json::Json;
 use hawkeye_workloads::census;
 use std::collections::BTreeMap;
 

@@ -6,8 +6,9 @@
 //! 1.62× native / 2.7× virtualized from huge pages. Footprints scaled
 //! ~128×.
 
-use crate::{pct, run_one, spd, Json, PolicyKind, Report, Row, Run, Scenario};
+use crate::{pct, run_one, spd, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_kernel::{BasePagesOnly, Workload};
+use hawkeye_metrics::json::Json;
 use hawkeye_policies::LinuxThp;
 use hawkeye_virt::{VirtSystem, VmSpec};
 use hawkeye_workloads::NpbKernel;

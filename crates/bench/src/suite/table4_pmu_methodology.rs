@@ -7,7 +7,8 @@
 //! prints the raw counters alongside the derived overhead, verifying the
 //! formula end to end.
 
-use crate::{pct, run_one, Json, PolicyKind, Report, Row, Run, Scenario};
+use crate::{pct, run_one, PolicyKind, Report, Row, Run, Scenario};
+use hawkeye_metrics::json::Json;
 use hawkeye_workloads::PatternScan;
 
 /// Builds the `table4` report: the MMU-overhead measurement methodology comparison.

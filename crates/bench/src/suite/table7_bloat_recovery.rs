@@ -6,9 +6,10 @@
 //! fast when memory is plentiful, memory-efficient under pressure.
 //! Scaled 256×: 24 K keys (96 MiB), delete 60 %.
 
-use crate::{Json, PolicyKind, Report, Row, Run, Scenario};
+use crate::{PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_kernel::Simulator;
 use hawkeye_metrics::Cycles;
+use hawkeye_metrics::json::Json;
 use hawkeye_workloads::{RedisKv, RedisOp};
 
 fn script() -> Vec<RedisOp> {

@@ -7,9 +7,10 @@
 //! improves Redis 2 MB-value throughput 1.26×; Ingens' utilization
 //! threshold *hurts* these workloads by multiplying faults.
 
-use crate::{dirty_free_memory, secs, Json, PolicyKind, Report, Row, Run, RunOutcome, Scenario};
+use crate::{dirty_free_memory, secs, PolicyKind, Report, Row, Run, RunOutcome, Scenario};
 use hawkeye_kernel::{workload::script, MemOp, Simulator, Workload};
 use hawkeye_metrics::Cycles;
+use hawkeye_metrics::json::Json;
 use hawkeye_workloads::{HaccIo, RedisKv, RedisOp, SparseHash, Spinup};
 
 fn run_steady(kind: PolicyKind, mib: u64, w: Box<dyn Workload>) -> RunOutcome {

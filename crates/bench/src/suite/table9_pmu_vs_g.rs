@@ -6,9 +6,10 @@
 //! reports random(4GB) 1.77× under PMU vs 1.41× under G, and cg.D 1.62×
 //! vs 1.35× (PMU up to 36 % better).
 
-use crate::{secs, spd, Json, PolicyKind, Report, Row, Run, Scenario};
+use crate::{secs, spd, PolicyKind, Report, Row, Run, Scenario};
 use hawkeye_kernel::{Simulator, Workload};
 use hawkeye_metrics::Cycles;
+use hawkeye_metrics::json::Json;
 use hawkeye_workloads::{NpbKernel, PatternScan};
 
 fn set(name: &str) -> Vec<(&'static str, Box<dyn Workload>)> {

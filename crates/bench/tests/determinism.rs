@@ -8,7 +8,9 @@
 //! `HAWKEYE_BENCH_THREADS` environment variable, so this test stays
 //! race-free when cargo runs tests in parallel.
 
-use hawkeye_bench::{run_one, trace_json, Json, PolicyKind, Report, Row, Run, Scenario};
+use hawkeye_bench::{run_one, PolicyKind, Report, Row, Run, Scenario};
+use hawkeye_metrics::json::Json;
+use hawkeye_trace::trace_json;
 use hawkeye_workloads::Spinup;
 
 const KINDS: [PolicyKind; 5] = [

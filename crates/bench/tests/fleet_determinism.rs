@@ -8,10 +8,10 @@
 
 use hawkeye_analyze::fleet::fleet_md;
 use hawkeye_analyze::summary::parse_summary;
-use hawkeye_bench::scenario::trace_doc_string;
 use hawkeye_bench::suite::fleet_slo::report_with;
 use hawkeye_bench::Run;
 use hawkeye_fleet::FleetConfig;
+use hawkeye_trace::trace_doc_string;
 
 /// One full 256-host fleet run at `threads` workers, reduced to the three
 /// artifact byte-streams the determinism gate covers.

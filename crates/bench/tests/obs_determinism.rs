@@ -13,13 +13,12 @@
 //! so the test stays race-free under parallel test execution.
 
 use hawkeye_analyze::fleet::fleet_md;
-use hawkeye_analyze::obs::parse_obs;
 use hawkeye_analyze::summary::parse_summary;
-use hawkeye_bench::scenario::trace_doc_string;
 use hawkeye_bench::suite::fleet_slo::report_with;
 use hawkeye_bench::Run;
 use hawkeye_fleet::FleetConfig;
-use hawkeye_obs::alerts_md;
+use hawkeye_obs::{alerts_md, ObsDoc};
+use hawkeye_trace::trace_doc_string;
 
 /// One full 256-host fleet run at `threads` workers with telemetry
 /// pinned to `observe`: `(summary, trace_doc, fleet_md, obs_doc)`.
@@ -70,14 +69,14 @@ fn obs_artifacts_are_deterministic_and_observation_is_zero_drift() {
 
     // ALERTS.md re-rendered from the parsed artifact is deterministic
     // and structurally complete.
-    let doc = parse_obs(&obs1).expect("obs doc parses back");
+    let doc = ObsDoc::parse(&obs1).expect("obs doc parses back");
     assert_eq!(doc.target, "fleet_slo");
     assert_eq!(doc.cohorts.len(), 2, "both cohorts observed");
     for c in &doc.cohorts {
         assert!(!c.series.points.is_empty(), "per-epoch series populated");
     }
     let alerts1 = alerts_md(&doc);
-    let alerts8 = alerts_md(&parse_obs(&obs8).expect("parses"));
+    let alerts8 = alerts_md(&ObsDoc::parse(&obs8).expect("parses"));
     assert_eq!(alerts1, alerts8, "ALERTS.md must be byte-identical across worker counts");
     for needle in
         ["# Fleet SLO alerts", "HawkEye-G+throttle", "Linux-2MB+noop", "Per-epoch series"]

@@ -14,11 +14,10 @@
 //! profile.
 
 use hawkeye_analyze::envelope::envelopes_md;
-use hawkeye_analyze::parse_trace;
 use hawkeye_analyze::summary::parse_summary;
-use hawkeye_bench::scenario::trace_doc_string;
 use hawkeye_bench::suite::{adversarial, hpc_stencil, oltp_btree};
 use hawkeye_bench::Run;
+use hawkeye_trace::{parse_trace, trace_doc_string};
 
 /// One reduced-scale traced run of a family at `threads` workers,
 /// reduced to the summary JSON and trace-document byte streams.

@@ -13,6 +13,9 @@
 //! * [`registry`] — the cycle-attribution registry: named counters, gauges,
 //!   and log-bucketed histograms behind a zero-cost-when-disabled
 //!   [`MetricsSink`], tagging every clock charge with a [`Subsystem`].
+//! * [`json`] — the one JSON codec: a [`Json`](json::Json) value that
+//!   writes and parses every artifact, plus the pull parser the streaming
+//!   trace reader drives.
 //!
 //! # Examples
 //!
@@ -27,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod env;
+pub mod json;
 pub mod registry;
 pub mod series;
 pub mod sketch;

@@ -18,6 +18,10 @@
 //! failure, not a silent skip): a schema bump must land together with a
 //! reseeded baseline in the same change — see DESIGN.md §16.
 
+use hawkeye_metrics::json::{self, Json};
+
+use crate::doc::{arr_field, f64_field, str_field, u64_field};
+
 /// Schema version stamped into every ledger entry.
 pub const LEDGER_SCHEMA_VERSION: u64 = 1;
 
@@ -81,6 +85,53 @@ impl LedgerRun {
         } else {
             self.quanta_skipped() as f64 / total as f64
         }
+    }
+
+    /// The `BENCH_<n>.json` document, in [`LedgerRun::parse`]'s key order.
+    pub fn to_json(&self) -> Json {
+        let targets = self
+            .targets
+            .iter()
+            .map(|t| {
+                Json::obj(vec![
+                    ("name", Json::str(t.name.clone())),
+                    ("quanta_total", Json::int(t.quanta_total)),
+                    ("quanta_skipped", Json::int(t.quanta_skipped)),
+                ])
+            })
+            .collect();
+        Json::obj(vec![
+            ("schema_version", Json::int(self.schema_version)),
+            ("run", Json::int(self.run)),
+            ("checks_passed", Json::int(self.checks_passed)),
+            ("checks_total", Json::int(self.checks_total)),
+            ("targets", Json::Arr(targets)),
+            ("wall_total_secs", Json::num(self.wall_total_secs)),
+            ("wall_digest", Json::str(self.wall_digest.clone())),
+        ])
+    }
+
+    /// Parses one `BENCH_<n>.json` entry — the exact inverse of
+    /// [`LedgerRun::to_json`]. A missing field is an error.
+    pub fn parse(text: &str) -> Result<LedgerRun, String> {
+        let v = json::parse(text)?;
+        let ctx = "ledger run";
+        Ok(LedgerRun {
+            schema_version: u64_field(&v, "schema_version", ctx)?,
+            run: u64_field(&v, "run", ctx)?,
+            checks_passed: u64_field(&v, "checks_passed", ctx)?,
+            checks_total: u64_field(&v, "checks_total", ctx)?,
+            targets: arr_field(&v, "targets", ctx, |t, i| {
+                let ctx = &format!("ledger target {i}");
+                Ok(LedgerTarget {
+                    name: str_field(t, "name", ctx)?,
+                    quanta_total: u64_field(t, "quanta_total", ctx)?,
+                    quanta_skipped: u64_field(t, "quanta_skipped", ctx)?,
+                })
+            })?,
+            wall_total_secs: f64_field(&v, "wall_total_secs", ctx)?,
+            wall_digest: str_field(&v, "wall_digest", ctx)?,
+        })
     }
 }
 
@@ -276,6 +327,19 @@ mod tests {
             wall_total_secs: 70.0 + n as f64,
             wall_digest: format!("{:016x}", fnv1a(&n.to_le_bytes())),
         }
+    }
+
+    #[test]
+    fn ledger_entry_round_trips_through_writer_and_parser() {
+        let mut entry = run(9, &[(1000, 800), (5000, 4500)], (1, 2));
+        entry.wall_total_secs = 4.25;
+        let text = entry.to_json().to_string();
+        assert!(text.starts_with(r#"{"schema_version":1,"run":9,"checks_passed":1,"#), "{text}");
+        let back = LedgerRun::parse(&text).expect("parse back");
+        assert_eq!(back, entry, "writer and parser are exact inverses");
+        assert_eq!(back.to_json().to_string(), text);
+        let err = LedgerRun::parse(r#"{"schema_version":1}"#).expect_err("missing fields");
+        assert!(err.contains("\"run\""), "{err}");
     }
 
     #[test]

@@ -27,9 +27,10 @@ pub mod paper;
 use std::path::{Path, PathBuf};
 
 use hawkeye_analyze::summary::{parse_summary, SummaryDoc};
-use hawkeye_analyze::{parse_trace, TraceDoc};
+use hawkeye_bench::scenario::panic_message;
 use hawkeye_bench::suite::{self, Target};
 use hawkeye_bench::Run;
+use hawkeye_trace::{parse_trace, TraceDoc};
 
 /// The inclusive `[lo, hi]` interval a reproduced value must land in.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -216,16 +217,27 @@ impl TargetWall {
 /// print them, so a report run doubles as a full-suite run. Returns the
 /// host wall-clock record per target (suite order) for the WALLCLOCK.md
 /// table; the deterministic artifacts never see these numbers.
+///
+/// A target that panics does not stop the suite: the remaining targets
+/// still run, and the error lists one ``target `<name>`: <message>``
+/// line per failed target, in suite order.
 pub fn run_suite(
     targets: &[&'static Target],
     threads: usize,
     obs: bool,
     dir: &Path,
-) -> Vec<TargetWall> {
+) -> Result<Vec<TargetWall>, Vec<String>> {
     let mut walls = Vec::with_capacity(targets.len());
+    let mut failed = Vec::new();
     for t in targets {
         let t0 = std::time::Instant::now();
-        let run = t.run(Run::new(threads, true, obs));
+        let run = match std::panic::catch_unwind(|| t.run(Run::new(threads, true, obs))) {
+            Ok(run) => run,
+            Err(payload) => {
+                failed.push(format!("target `{}`: {}", t.name, panic_message(payload)));
+                continue;
+            }
+        };
         print!("{}", run.report.text());
         let writes = hawkeye_bench::write_json_in(dir, &run);
         walls.push(TargetWall {
@@ -236,7 +248,11 @@ pub fn run_suite(
             quanta_skipped: run.quanta_skipped,
         });
     }
-    walls
+    if failed.is_empty() {
+        Ok(walls)
+    } else {
+        Err(failed)
+    }
 }
 
 /// Renders the suite wall-clock table (WALLCLOCK.md): per-target totals,
@@ -485,7 +501,6 @@ pub fn failures(sections: &[Section], slack: f64) -> Vec<String> {
 
 // ---- perf-trajectory ledger ---------------------------------------------
 
-use hawkeye_bench::Json;
 use hawkeye_obs::{fnv1a, LedgerRun, LedgerTarget, LEDGER_SCHEMA_VERSION};
 
 /// Builds one perf-trajectory ledger entry ([`LedgerRun`]) from this
@@ -519,31 +534,6 @@ pub fn ledger_entry(run: u64, walls: &[TargetWall], sections: &[Section], slack:
         wall_total_secs,
         wall_digest: format!("{:016x}", fnv1a(canonical.as_bytes())),
     }
-}
-
-/// Serializes a ledger entry with the key order
-/// `hawkeye_analyze::obs::parse_ledger` mirrors.
-pub fn ledger_json(r: &LedgerRun) -> Json {
-    let targets = r
-        .targets
-        .iter()
-        .map(|t| {
-            Json::obj(vec![
-                ("name", Json::str(t.name.clone())),
-                ("quanta_total", Json::int(t.quanta_total)),
-                ("quanta_skipped", Json::int(t.quanta_skipped)),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("schema_version", Json::int(r.schema_version)),
-        ("run", Json::int(r.run)),
-        ("checks_passed", Json::int(r.checks_passed)),
-        ("checks_total", Json::int(r.checks_total)),
-        ("targets", Json::Arr(targets)),
-        ("wall_total_secs", Json::num(r.wall_total_secs)),
-        ("wall_digest", Json::str(r.wall_digest.clone())),
-    ])
 }
 
 /// The run number embedded in a `BENCH_<n>.json` file name, if it is one.
@@ -580,8 +570,7 @@ pub fn load_ledger(dir: &Path) -> Result<Vec<LedgerRun>, String> {
         }
         let path = entry.path();
         let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let run = hawkeye_analyze::obs::parse_ledger(&text)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let run = LedgerRun::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         runs.push(run);
     }
     runs.sort_by_key(|r| r.run);
@@ -676,7 +665,7 @@ mod tests {
     }
 
     #[test]
-    fn ledger_entry_round_trips_through_writer_and_parser() {
+    fn ledger_entry_tallies_checks_quanta_and_wall_time() {
         let walls = vec![
             TargetWall {
                 name: "a",
@@ -711,9 +700,34 @@ mod tests {
         assert_eq!(entry.quanta_total(), 6000);
         assert_eq!(entry.wall_total_secs, 4.0);
         assert_eq!(entry.wall_digest.len(), 16, "fnv1a hex");
-        let text = ledger_json(&entry).to_string();
-        let back = hawkeye_analyze::obs::parse_ledger(&text).expect("parse back");
-        assert_eq!(back, entry, "writer and parser are exact inverses");
+    }
+
+    fn first(_: &mut Run) -> hawkeye_bench::Report {
+        hawkeye_bench::Report::new("first", "First", vec![])
+    }
+
+    fn broken(_: &mut Run) -> hawkeye_bench::Report {
+        panic!("injected failure")
+    }
+
+    fn last(_: &mut Run) -> hawkeye_bench::Report {
+        hawkeye_bench::Report::new("last", "Last", vec![])
+    }
+
+    static FIRST: Target = Target { name: "first", paper: "A", build: first };
+    static BROKEN: Target = Target { name: "broken", paper: "B", build: broken };
+    static LAST: Target = Target { name: "last", paper: "C", build: last };
+
+    #[test]
+    fn run_suite_names_a_panicking_target_and_runs_the_rest() {
+        let dir = scratch("run-suite");
+        let err = run_suite(&[&FIRST, &BROKEN, &LAST], 1, false, &dir)
+            .expect_err("a panicking target fails the suite");
+        assert_eq!(err, vec!["target `broken`: injected failure".to_string()]);
+        assert!(dir.join("first.json").exists());
+        assert!(dir.join("last.json").exists(), "targets after the failure still run");
+        let walls = run_suite(&[&FIRST, &LAST], 1, false, &dir).expect("healthy suite");
+        assert_eq!(walls.iter().map(|w| w.name).collect::<Vec<_>>(), ["first", "last"]);
     }
 
     #[test]
@@ -739,7 +753,7 @@ mod tests {
                 wall_total_secs: 0.0,
                 wall_digest: "0".repeat(16),
             };
-            ledger_json(&r).to_string()
+            r.to_json().to_string()
         };
         std::fs::write(dir.join("BENCH_10.json"), entry(10)).expect("write");
         std::fs::write(dir.join("BENCH_2.json"), entry(2)).expect("write");

@@ -57,7 +57,11 @@ fn usage() -> &'static str {
      \x20  2   usage error\n\
      \x20  3   pipeline error (missing or malformed artifact)\n\
      \x20  4   summary error: expected metrics missing from a summary\n\
-     \x20      (renamed/absent keys; REPORT.md is still written)\n"
+     \x20      (renamed/absent keys; REPORT.md is still written)\n\
+     \x20  5   target failure: a suite target panicked; each failed\n\
+     \x20      target is named on stderr (target `<name>`: <message>),\n\
+     \x20      the others still run, and no REPORT.md or ledger entry\n\
+     \x20      is written\n"
 }
 
 fn main() -> ExitCode {
@@ -170,7 +174,19 @@ fn main() -> ExitCode {
             targets.len()
         );
         let obs = hawkeye_metrics::env::flag("HAWKEYE_OBS");
-        walls = hawkeye_report::run_suite(&targets, threads, obs, &data_dir);
+        walls = match hawkeye_report::run_suite(&targets, threads, obs, &data_dir) {
+            Ok(walls) => walls,
+            Err(failed) => {
+                for f in &failed {
+                    eprintln!("hawkeye-report: gate=run: {f}");
+                }
+                eprintln!(
+                    "hawkeye-report: {} suite target(s) failed; no REPORT.md or ledger entry written",
+                    failed.len()
+                );
+                return ExitCode::from(5);
+            }
+        };
         let table = hawkeye_report::wallclock_table(&walls, threads);
         let wall_path = dir.join("WALLCLOCK.md");
         match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&wall_path, &table)) {
@@ -248,7 +264,7 @@ fn main() -> ExitCode {
     // present-but-unreadable document is a pipeline error, not a skip.
     let obs_path = data_dir.join("fleet_slo.obs.json");
     match std::fs::read_to_string(&obs_path) {
-        Ok(text) => match hawkeye_analyze::obs::parse_obs(&text) {
+        Ok(text) => match hawkeye_obs::ObsDoc::parse(&text) {
             Ok(obs_doc) => {
                 let alerts_path = dir.join("ALERTS.md");
                 match std::fs::write(&alerts_path, hawkeye_obs::alerts_md(&obs_doc)) {
@@ -280,7 +296,7 @@ fn main() -> ExitCode {
     if run {
         let n = hawkeye_report::next_run_number(&ledger_dir);
         let entry = hawkeye_report::ledger_entry(n, &walls, &sections, slack);
-        let doc = hawkeye_report::ledger_json(&entry).to_string() + "\n";
+        let doc = entry.to_json().to_string() + "\n";
         let entry_path = ledger_dir.join(format!("BENCH_{n}.json"));
         match std::fs::create_dir_all(&ledger_dir).and_then(|()| std::fs::write(&entry_path, &doc))
         {

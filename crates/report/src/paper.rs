@@ -9,13 +9,13 @@
 //! the paper delta column is informational (see the crate docs for why
 //! the two are deliberately independent).
 
-use hawkeye_analyze::json::Value;
 use hawkeye_analyze::render::{bar, pct_line, sparkline};
 use hawkeye_analyze::summary::SummaryDoc;
-use hawkeye_analyze::{mmu_overhead_series, TraceDoc, SUBSYSTEMS};
+use hawkeye_analyze::{mmu_overhead_series, SUBSYSTEMS};
+use hawkeye_metrics::json::Json;
 use hawkeye_metrics::Reduce;
 use hawkeye_metrics::TimeSeries;
-use hawkeye_trace::TraceEvent;
+use hawkeye_trace::{TraceDoc, TraceEvent};
 
 use crate::{Band, Check, Figure, Section, TargetData};
 
@@ -93,10 +93,10 @@ fn drop_warnings(d: &TargetData) -> Vec<String> {
 
 // ---- extraction helpers -------------------------------------------------
 
-fn row<'a>(d: &'a SummaryDoc, key: &str, label: &str) -> Option<&'a Value> {
+fn row<'a>(d: &'a SummaryDoc, key: &str, label: &str) -> Option<&'a Json> {
     d.rows
         .iter()
-        .find(|r| r.get(key).and_then(Value::as_str) == Some(label))
+        .find(|r| r.get(key).and_then(Json::as_str) == Some(label))
 }
 
 fn num(d: &SummaryDoc, key: &str, label: &str, field: &str) -> Option<f64> {
@@ -112,8 +112,8 @@ fn num2(
     d.rows
         .iter()
         .find(|r| {
-            r.get(k1).and_then(Value::as_str) == Some(l1)
-                && r.get(k2).and_then(Value::as_str) == Some(l2)
+            r.get(k1).and_then(Json::as_str) == Some(l1)
+                && r.get(k2).and_then(Json::as_str) == Some(l2)
         })?
         .get(field)?
         .as_f64()
@@ -292,9 +292,9 @@ fn table2(d: &TargetData) -> Body {
     let mismatches = s
         .rows
         .iter()
-        .filter(|r| r.get("suite").and_then(Value::as_str) != Some("TOTAL"))
+        .filter(|r| r.get("suite").and_then(Json::as_str) != Some("TOTAL"))
         .filter(|r| {
-            r.get("sensitive").and_then(Value::as_f64) != r.get("paper").and_then(Value::as_f64)
+            r.get("sensitive").and_then(Json::as_f64) != r.get("paper").and_then(Json::as_f64)
         })
         .count() as f64;
     let checks = vec![
@@ -600,8 +600,8 @@ fn fig3(d: &TargetData) -> Body {
 fn fig4(d: &TargetData) -> Body {
     let s = &d.summary;
     let matches = s.rows.first().map(|r| {
-        let ours = r.get("promotion_order").and_then(Value::as_str);
-        let paper = r.get("paper_order").and_then(Value::as_str);
+        let ours = r.get("promotion_order").and_then(Json::as_str);
+        let paper = r.get("paper_order").and_then(Json::as_str);
         if ours.is_some() && ours == paper {
             1.0
         } else {
@@ -834,8 +834,8 @@ fn fig10(d: &TargetData) -> Body {
         .rows
         .iter()
         .filter_map(|r| {
-            let w = r.get("workload").and_then(Value::as_str)?;
-            let t = r.get("slowdown_temporal").and_then(Value::as_f64)?;
+            let w = r.get("workload").and_then(Json::as_str)?;
+            let t = r.get("slowdown_temporal").and_then(Json::as_f64)?;
             Some((w.to_string(), t * 100.0))
         })
         .collect();
@@ -898,8 +898,8 @@ fn multicore(d: &TargetData) -> Body {
         s.rows
             .iter()
             .find(|r| {
-                r.get("policy").and_then(Value::as_str) == Some(policy)
-                    && r.get("cores").and_then(Value::as_f64) == Some(cores)
+                r.get("policy").and_then(Json::as_str) == Some(policy)
+                    && r.get("cores").and_then(Json::as_f64) == Some(cores)
             })?
             .get(field)?
             .as_f64()
@@ -1164,9 +1164,9 @@ fn adversarial(d: &TargetData) -> Body {
         s.rows
             .iter()
             .find(|r| {
-                r.get("attack").and_then(Value::as_str) == Some(attack)
-                    && r.get("intensity").and_then(Value::as_f64) == Some(intensity)
-                    && r.get("policy").and_then(Value::as_str) == Some(policy)
+                r.get("attack").and_then(Json::as_str) == Some(attack)
+                    && r.get("intensity").and_then(Json::as_f64) == Some(intensity)
+                    && r.get("policy").and_then(Json::as_str) == Some(policy)
             })?
             .get(field)?
             .as_f64()
@@ -1177,8 +1177,8 @@ fn adversarial(d: &TargetData) -> Body {
         s.rows
             .iter()
             .filter(|r| {
-                r.get("attack").and_then(Value::as_str) == Some(attack)
-                    && r.get("policy").and_then(Value::as_str) == Some(policy)
+                r.get("attack").and_then(Json::as_str) == Some(attack)
+                    && r.get("policy").and_then(Json::as_str) == Some(policy)
             })
             .filter_map(|r| r.get("vs_linux2m")?.as_f64())
             .reduce(f64::max)
@@ -1227,7 +1227,7 @@ fn adversarial(d: &TargetData) -> Body {
             Some(0.0),
             s.rows
                 .iter()
-                .filter(|r| r.get("policy").and_then(Value::as_str) == Some("HawkEye-G"))
+                .filter(|r| r.get("policy").and_then(Json::as_str) == Some("HawkEye-G"))
                 .filter_map(|r| r.get("victim_oom")?.as_f64())
                 .reduce(|a, b| a + b),
             Band::exact(0.0),

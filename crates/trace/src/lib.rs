@@ -12,8 +12,15 @@
 //! buffer via [`TraceSink::attach_current`] and receive a per-scope machine id
 //! in creation order, which keeps journals deterministic under the ordered
 //! bench pool (each scenario runs start-to-finish on one worker thread).
+//!
+//! Finished journals persist as a target's `.trace.json` artifact, whose
+//! writers and reader live together in [`doc`].
 
 #![warn(missing_docs)]
+
+pub mod doc;
+
+pub use doc::{parse_trace, trace_doc_string, trace_json, ScenarioTrace, TraceDoc};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,8 +36,7 @@ pub const DEFAULT_CAPACITY: usize = 65_536;
 /// A typed simulator event.
 ///
 /// Payload fields are raw integers (bools as flags) so the journal can be
-/// serialized generically via [`TraceEvent::fields`] without this crate
-/// depending on any serializer.
+/// serialized generically via [`TraceEvent::fields`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A minor/major fault was serviced in the touch path.
@@ -264,7 +270,7 @@ impl TraceEvent {
 
     /// Reconstructs an event from its serialized `(kind, fields)` form —
     /// the inverse of [`TraceEvent::kind`] + [`TraceEvent::fields`], used
-    /// by the `hawkeye-analyze` journal parser. Field lookup is by name so
+    /// by [`parse_trace`]. Field lookup is by name so
     /// readers tolerate reordered keys; returns `None` for an unknown kind
     /// or a missing field. Keys may be any string-like type, so streaming
     /// parsers can pass borrowed keys without building owned `String`s.
@@ -737,9 +743,9 @@ mod tests {
         assert_eq!(journal.records[0].at, Cycles::new(42));
     }
 
-    #[test]
-    fn from_fields_inverts_fields_for_every_variant() {
-        let events = vec![
+    /// One event of every kind.
+    pub(crate) fn every_variant() -> Vec<TraceEvent> {
+        vec![
             TraceEvent::Fault { vpn: 7, huge: true, cow: false, cycles: 6095 },
             TraceEvent::Promote { hvpn: 5, copied: 3, filled: 2, cycles: 100 },
             TraceEvent::Demote { hvpn: 9, cycles: 0 },
@@ -769,8 +775,12 @@ mod tests {
             },
             TraceEvent::SloBreach { rule: 2, epoch: 5, cohort: 0 },
             TraceEvent::SloRecover { rule: 2, epoch: 7, cohort: 1 },
-        ];
-        for ev in events {
+        ]
+    }
+
+    #[test]
+    fn from_fields_inverts_fields_for_every_variant() {
+        for ev in every_variant() {
             let fields: Vec<(String, u64)> =
                 ev.fields().into_iter().map(|(k, v)| (k.to_string(), v)).collect();
             let back = TraceEvent::from_fields(ev.kind(), &fields).expect("round-trip");

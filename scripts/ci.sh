@@ -117,6 +117,13 @@ cargo bench -p hawkeye-bench --bench touch_throughput -- --quick
 echo "==> hawkeye-perf smoke (--quick)"
 cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --quick
 
+# The perf/ crate's own tests (BENCHMARK.json schema, digests, metric
+# names) compile against the re-exported paths the frozen crate imports
+# (hawkeye_bench::{Json, trace_json}, hawkeye_analyze::json,
+# hawkeye_analyze::parse_trace), so a move that drops one fails here.
+echo "==> hawkeye-perf tests"
+cargo test --offline -q --manifest-path perf/Cargo.toml
+
 # Paper-reproduction gate: run the full suite through hawkeye-report and
 # fail if any REPORT.md check lands outside its tolerance band (see
 # DESIGN.md §12). This regenerates target/report/REPORT.md as a side
