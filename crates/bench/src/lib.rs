@@ -251,11 +251,6 @@ pub fn format_series(title: &str, series: &hawkeye_metrics::TimeSeries, points: 
     out
 }
 
-/// Prints a downsampled time series as two aligned columns.
-pub fn print_series(title: &str, series: &hawkeye_metrics::TimeSeries, points: usize) {
-    print!("{}", format_series(title, series, points));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

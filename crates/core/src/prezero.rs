@@ -51,12 +51,6 @@ impl PrezeroDaemon {
         self.pages_zeroed
     }
 
-    /// The daemon's current zeroing rate in bytes per simulated second
-    /// (for interference accounting).
-    pub fn rate_bytes_per_sec(&self, pages_per_sec: f64) -> f64 {
-        pages_per_sec * 4096.0
-    }
-
     /// Runs one tick at simulated time `now`: zeroes up to the accrued
     /// budget. Returns pages zeroed this tick.
     pub fn tick(&mut self, m: &mut Machine, now: Cycles) -> u64 {

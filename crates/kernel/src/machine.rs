@@ -178,12 +178,6 @@ impl Machine {
         self.trace.set_now(self.clock.now());
     }
 
-    /// Runs the per-period metric sampling (the simulator calls this on
-    /// its own; custom drivers may call it at their sampling points).
-    pub fn sample_metrics_now(&mut self) {
-        self.sample_metrics();
-    }
-
     /// The configuration the machine was booted with.
     pub fn config(&self) -> &KernelConfig {
         &self.config
@@ -953,20 +947,6 @@ impl Machine {
             let life = self.mmu.lifetime(pid);
             self.recorder.record_at(&format!("p{pid}.mmu_overhead"), now, life.mmu_overhead());
         }
-    }
-
-    /// Average simulated seconds between two instants (helper for tables).
-    pub fn secs_since(&self, t0: Cycles) -> f64 {
-        (self.clock.now().saturating_sub(t0)).as_secs()
-    }
-
-    /// Simulated throughput helper: operations per simulated second.
-    pub fn ops_per_sec(&self, ops: u64, since: Cycles) -> f64 {
-        let dt = self.secs_since(since);
-        if dt <= 0.0 {
-            return 0.0;
-        }
-        ops as f64 / dt
     }
 }
 

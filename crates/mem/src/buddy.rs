@@ -351,11 +351,6 @@ impl PhysMemory {
         self.lists[order.index()][1].blocks
     }
 
-    /// Number of free blocks of exactly `order` in the non-zero list.
-    pub fn nonzeroed_blocks(&self, order: Order) -> u64 {
-        self.lists[order.index()][0].blocks
-    }
-
     // ---- internals ------------------------------------------------------
 
     fn find_block(&self, order: Order, listz: usize) -> Option<(Pfn, Order, usize)> {

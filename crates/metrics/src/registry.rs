@@ -23,6 +23,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use crate::hist::LogHistogram;
 use crate::time::Cycles;
 
 /// Counter name for `CPU_CLK_UNHALTED`: every cycle a process executes,
@@ -114,106 +115,6 @@ impl Subsystem {
             Subsystem::Dedup => "cycles.daemon.dedup",
             Subsystem::Idle => "cycles.daemon.idle",
         }
-    }
-}
-
-/// An HDR-style histogram over `u64` values with power-of-two buckets:
-/// bucket 0 holds exact zeros, bucket `i ≥ 1` holds `[2^(i-1), 2^i)`.
-/// Integer bookkeeping throughout, so identical observation sequences
-/// produce identical percentiles on any platform.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogHistogram {
-    counts: [u64; 65],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        LogHistogram { counts: [0; 65], count: 0, sum: 0, min: u64::MAX, max: 0 }
-    }
-}
-
-impl LogHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn bucket(v: u64) -> usize {
-        if v == 0 {
-            0
-        } else {
-            64 - v.leading_zeros() as usize
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&mut self, v: u64) {
-        self.counts[Self::bucket(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest observation (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 { 0 } else { self.min }
-    }
-
-    /// Largest observation (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean observation, rounded down (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// The `p`-th percentile (0–100), resolved to the upper bound of the
-    /// bucket holding the rank-`⌈p/100·n⌉` observation, clamped to the
-    /// observed `[min, max]`. Bucketed, hence approximate within a factor
-    /// of 2 — and exactly reproducible.
-    pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (((p / 100.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                let hi = if i == 0 { 0u64 } else { (((1u128 << i) - 1).min(u64::MAX as u128)) as u64 };
-                return hi.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Merges another histogram into this one (the analyzer folds
-    /// per-event observations machine by machine).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -535,58 +436,6 @@ mod tests {
             assert!(s.cpu_key().ends_with(s.name()));
             assert!(s.daemon_key().ends_with(s.name()));
         }
-    }
-
-    #[test]
-    fn histogram_buckets_powers_of_two() {
-        let mut h = LogHistogram::new();
-        for v in [0, 1, 2, 3, 4, 1000, u64::MAX] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), u64::MAX);
-        assert_eq!(h.percentile(0.0), 0, "p0 resolves to the zero bucket");
-        assert!(h.percentile(50.0) >= 3 && h.percentile(50.0) <= 4);
-        assert_eq!(h.percentile(100.0), u64::MAX);
-    }
-
-    #[test]
-    fn histogram_empty_reads_zero() {
-        let h = LogHistogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.mean(), 0);
-        assert_eq!(h.percentile(99.0), 0);
-    }
-
-    #[test]
-    fn histogram_percentile_is_deterministic_and_bounded() {
-        let mut h = LogHistogram::new();
-        for v in 1..=1000u64 {
-            h.observe(v);
-        }
-        let p50 = h.percentile(50.0);
-        // Bucketed: within a factor of 2 of the true median, clamped to
-        // the observed range.
-        assert!((500..=1000).contains(&p50), "p50 {p50}");
-        assert_eq!(p50, h.percentile(50.0));
-        assert!(h.percentile(99.0) >= p50);
-        assert_eq!(h.mean(), 500);
-    }
-
-    #[test]
-    fn histogram_merge_accumulates() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        a.observe(10);
-        b.observe(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), 10);
-        assert_eq!(a.max(), 1000);
-        assert_eq!(a.sum(), 1010);
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl TimeSeries {
     }
 
     /// Appends an observation. Times must be non-decreasing:
-    /// [`TimeSeries::value_at`] and figure reconstruction assume it, and an
+    /// resampling and figure reconstruction assume it, and an
     /// out-of-order push would corrupt them silently, so debug builds
     /// assert. Merging independently-recorded series (e.g. per-pid
     /// overhead curves in the analyzer) is what [`TimeSeries::merge_sorted`]
@@ -150,12 +150,6 @@ impl TimeSeries {
     /// Maximum observed value (`None` if empty).
     pub fn max_value(&self) -> Option<f64> {
         self.samples.iter().map(|s| s.value).fold(None, |m, v| Some(m.map_or(v, |m: f64| m.max(v))))
-    }
-
-    /// Step-interpolated value at time `secs`: the value of the latest
-    /// sample at or before `secs`, or `None` if `secs` precedes all samples.
-    pub fn value_at(&self, secs: f64) -> Option<f64> {
-        self.samples.iter().take_while(|s| s.secs <= secs).last().map(|s| s.value)
     }
 
     /// Resamples onto `bins` fixed-width time bins spanning
@@ -286,18 +280,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.max_value(), Some(5.0));
         assert_eq!(s.last().unwrap().secs, 2.0);
-    }
-
-    #[test]
-    fn value_at_is_step_interpolated() {
-        let mut s = TimeSeries::new("x");
-        s.push(1.0, 10.0);
-        s.push(3.0, 30.0);
-        assert_eq!(s.value_at(0.5), None);
-        assert_eq!(s.value_at(1.0), Some(10.0));
-        assert_eq!(s.value_at(2.9), Some(10.0));
-        assert_eq!(s.value_at(3.0), Some(30.0));
-        assert_eq!(s.value_at(99.0), Some(30.0));
     }
 
     #[test]

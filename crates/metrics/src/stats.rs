@@ -1,70 +1,4 @@
-//! Summary statistics over `f64` samples.
-//!
-//! Used by the bench harness to aggregate per-run measurements (execution
-//! times, speedups, throughput) into the averages the paper reports.
-
-/// Summary statistics of a sample set.
-///
-/// # Examples
-///
-/// ```
-/// use hawkeye_metrics::Summary;
-///
-/// let s = Summary::from_samples(&[1.0, 2.0, 3.0, 4.0]);
-/// assert_eq!(s.mean, 2.5);
-/// assert_eq!(s.min, 1.0);
-/// assert_eq!(s.max, 4.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean (0 for an empty sample set).
-    pub mean: f64,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-    /// Population standard deviation.
-    pub stddev: f64,
-}
-
-impl Summary {
-    /// Computes summary statistics over `samples`.
-    ///
-    /// Returns the default (all-zero) summary for an empty slice.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return Self::default();
-        }
-        let count = samples.len();
-        let mean = samples.iter().sum::<f64>() / count as f64;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / count as f64;
-        let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        Summary { count, mean, min, max, stddev: var.sqrt() }
-    }
-}
-
-/// Geometric mean of strictly positive samples.
-///
-/// Returns 0 for an empty slice. Non-positive entries are skipped, matching
-/// common benchmarking practice for speedup aggregation.
-///
-/// # Examples
-///
-/// ```
-/// use hawkeye_metrics::stats::geomean;
-///
-/// assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-/// ```
-pub fn geomean(samples: &[f64]) -> f64 {
-    let logs: Vec<f64> = samples.iter().filter(|x| **x > 0.0).map(|x| x.ln()).collect();
-    if logs.is_empty() {
-        return 0.0;
-    }
-    (logs.iter().sum::<f64>() / logs.len() as f64).exp()
-}
+//! Nearest-rank percentiles over `f64` samples.
 
 /// The `p`-th percentile (0–100) of `samples` by nearest-rank.
 ///
@@ -98,28 +32,6 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_of_empty_is_default() {
-        assert_eq!(Summary::from_samples(&[]), Summary::default());
-    }
-
-    #[test]
-    fn summary_basic() {
-        let s = Summary::from_samples(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert_eq!(s.count, 8);
-        assert_eq!(s.mean, 5.0);
-        assert_eq!(s.stddev, 2.0);
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.max, 9.0);
-    }
-
-    #[test]
-    fn geomean_skips_nonpositive() {
-        assert!((geomean(&[0.0, -1.0, 1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
-        assert_eq!(geomean(&[0.0]), 0.0);
-    }
 
     #[test]
     fn percentile_nearest_rank() {

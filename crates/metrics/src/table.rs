@@ -49,11 +49,6 @@ impl TextTable {
         self
     }
 
-    /// Appends a row from anything displayable.
-    pub fn row_display<D: fmt::Display>(&mut self, cells: Vec<D>) -> &mut Self {
-        self.row(cells.into_iter().map(|c| c.to_string()).collect())
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -103,31 +98,6 @@ impl fmt::Display for TextTable {
     }
 }
 
-/// Formats a ratio as the paper does: `1.14x`.
-pub fn speedup(x: f64) -> String {
-    format!("{x:.2}x")
-}
-
-/// Formats a fraction (0–1) as a percentage with one decimal: `31.4%`.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
-}
-
-/// Formats a byte count using binary units (`KiB`, `MiB`, `GiB`).
-pub fn bytes(n: u64) -> String {
-    const K: f64 = 1024.0;
-    let nf = n as f64;
-    if nf >= K * K * K {
-        format!("{:.1}GiB", nf / (K * K * K))
-    } else if nf >= K * K {
-        format!("{:.1}MiB", nf / (K * K))
-    } else if nf >= K {
-        format!("{:.1}KiB", nf / K)
-    } else {
-        format!("{n}B")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,22 +125,5 @@ mod tests {
         assert!(!t.is_empty());
         let s = t.to_string();
         assert!(s.contains("extra"));
-    }
-
-    #[test]
-    fn row_display_converts() {
-        let mut t = TextTable::new(vec!["n", "v"]);
-        t.row_display(vec![1.5, 2.25]);
-        assert!(t.to_string().contains("2.25"));
-    }
-
-    #[test]
-    fn formatters() {
-        assert_eq!(speedup(1.137), "1.14x");
-        assert_eq!(pct(0.314), "31.4%");
-        assert_eq!(bytes(512), "512B");
-        assert_eq!(bytes(2048), "2.0KiB");
-        assert_eq!(bytes(3 * 1024 * 1024), "3.0MiB");
-        assert_eq!(bytes(5 * 1024 * 1024 * 1024), "5.0GiB");
     }
 }

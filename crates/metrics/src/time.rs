@@ -207,12 +207,6 @@ impl SimClock {
         self.now
     }
 
-    /// Current simulated time in seconds.
-    #[inline]
-    pub fn now_secs(&self) -> f64 {
-        self.now.as_secs()
-    }
-
     /// Advances the clock by `d`.
     #[inline]
     pub fn advance(&mut self, d: Cycles) {

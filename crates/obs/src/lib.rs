@@ -7,8 +7,10 @@
 //! watch **over time**:
 //!
 //! 1. **Time series** ([`series`]) — per-cohort, per-epoch accumulators
-//!    built on the mergeable [`QuantileSketch`](hawkeye_metrics::QuantileSketch):
-//!    p50/p90/p99/p999 fault latency, MMU overhead, RSS headroom, FMFI.
+//!    built on [`QuantileSketch`](hawkeye_metrics::QuantileSketch), the
+//!    four-buckets-per-octave layout of the mergeable
+//!    [`Histogram`](hawkeye_metrics::Histogram): p50/p90/p99/p999 fault
+//!    latency, MMU overhead, RSS headroom, FMFI.
 //!    Accumulators merge *exactly* (every field additive or min/max), so
 //!    host groups reduce in submission order and the resulting series are
 //!    byte-identical at any worker count.

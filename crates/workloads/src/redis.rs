@@ -110,11 +110,6 @@ impl RedisKv {
         )
     }
 
-    /// Number of live keys.
-    pub fn live_keys(&self) -> usize {
-        self.live.len()
-    }
-
     /// Allocates `pages` from the free list (first fit) or the bump
     /// cursor. Returns the first page, or `None` if the arena is full.
     fn alloc_value(&mut self, pages: u64) -> Option<u64> {

@@ -90,6 +90,7 @@ echo "==> cargo clippy --lib -- -D clippy::unwrap_used (core crates)"
 cargo clippy -p hawkeye-metrics -p hawkeye-mem -p hawkeye-vm -p hawkeye-tlb \
     -p hawkeye-trace -p hawkeye-obs -p hawkeye-kernel -p hawkeye-virt \
     -p hawkeye-fleet -p hawkeye-bench -p hawkeye-analyze -p hawkeye-report \
+    -p hawkeye-core -p hawkeye-policies -p hawkeye-workloads \
     --lib -- -D clippy::unwrap_used
 
 # Cycle-attribution gate: run one real traced scenario and pipe the
