@@ -20,6 +20,7 @@
 //! the artifact determinism gate next to REPORT.md and FLEET.md.
 
 use crate::latency;
+use crate::render::table;
 use crate::summary::SummaryDoc;
 use hawkeye_metrics::json::Json;
 use hawkeye_trace::{ScenarioTrace, TraceDoc};
@@ -137,14 +138,6 @@ fn latency_cells(sc: &ScenarioTrace) -> [String; 6] {
         p(&promote, 50.0),
         p(&promote, 99.0),
     ]
-}
-
-fn table(out: &mut String, headers: &[String], rows: &[Vec<String>]) {
-    out.push_str(&format!("| {} |\n", headers.join(" | ")));
-    out.push_str(&format!("|{}\n", "---|".repeat(headers.len())));
-    for cells in rows {
-        out.push_str(&format!("| {} |\n", cells.join(" | ")));
-    }
 }
 
 /// Renders ENVELOPES.md from the `adversarial` summary (and, when the

@@ -7,6 +7,7 @@
 //! REPORT.md. Same bytes for the same summary, always — FLEET.md sits
 //! inside the artifact determinism gate.
 
+use crate::render::table;
 use crate::summary::SummaryDoc;
 use hawkeye_metrics::json::Json;
 
@@ -49,14 +50,6 @@ fn measured_float(row: &Json, key: &str, decimals: usize) -> String {
 /// Like `pct`, but `n/a` when the cohort never ran an epoch.
 fn measured_pct(row: &Json, key: &str) -> String {
     if idle_cohort(row) { "n/a".to_string() } else { pct(row, key) }
-}
-
-fn table(out: &mut String, headers: &[&str], rows: &[Vec<String>]) {
-    out.push_str(&format!("| {} |\n", headers.join(" | ")));
-    out.push_str(&format!("|{}\n", "---|".repeat(headers.len())));
-    for cells in rows {
-        out.push_str(&format!("| {} |\n", cells.join(" | ")));
-    }
 }
 
 /// Renders FLEET.md from the `fleet_slo` summary: the SLO table, the

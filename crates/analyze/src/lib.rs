@@ -1,6 +1,6 @@
 //! `hawkeye-analyze`: offline analysis of bench trace journals.
 //!
-//! The bench harness (run with `HAWKEYE_TRACE=1`) writes
+//! The bench harness writes
 //! `target/bench-results/<target>.trace.json` — every scenario's event
 //! journal, flattened to `{t, pid, machine, kind, <payload>}` rows.
 //! [`hawkeye_trace::parse_trace`] loads those documents back into typed

@@ -20,7 +20,7 @@ fn usage() -> &'static str {
      \n\
      Prints per-scenario cycle attribution, fault/promotion latency\n\
      histograms, and MMU-overhead-over-time reconstructed from a bench\n\
-     trace journal (produced by HAWKEYE_TRACE=1 cargo bench ...).\n\
+     trace journal (written by `cargo bench ...` and hawkeye-report).\n\
      \n\
      --check   gate mode: verify every journal parses, carries\n\
      \x20         cycle_sample events, and attributes cycles exactly;\n\

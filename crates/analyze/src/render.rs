@@ -7,6 +7,7 @@
 //! file tested (DESIGN.md §12).
 
 use hawkeye_metrics::LogHistogram;
+use std::borrow::Borrow;
 
 /// Width (in characters) of a full [`bar`].
 pub const BAR_WIDTH: usize = 40;
@@ -44,6 +45,16 @@ pub fn hist_line(out: &mut String, label: &str, h: &LogHistogram) {
         h.percentile(99.0),
         h.max(),
     ));
+}
+
+/// Appends a markdown table: a header row, the `---|` rule, then one
+/// row per entry of `rows`.
+pub fn table<H: Borrow<str>>(out: &mut String, headers: &[H], rows: &[Vec<String>]) {
+    out.push_str(&format!("| {} |\n", headers.join(" | ")));
+    out.push_str(&format!("|{}\n", "---|".repeat(headers.len())));
+    for cells in rows {
+        out.push_str(&format!("| {} |\n", cells.join(" | ")));
+    }
 }
 
 /// Renders `values` as a fixed-alphabet sparkline (`▁▂▃▄▅▆▇█`), scaled

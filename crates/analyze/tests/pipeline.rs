@@ -46,7 +46,7 @@ fn matrix() -> Vec<Scenario<u64>> {
 #[test]
 fn analyzer_report_is_byte_identical_across_worker_counts() {
     let journals = |threads| {
-        let mut run = Run::new(threads, true, false);
+        let mut run = Run::new(threads);
         run.scenarios(matrix());
         run.journals
     };

@@ -191,7 +191,7 @@ fn main() {
         counts.push(scen.len());
         all.extend(scen);
     }
-    let mut run = Run::new(hawkeye_fleet::pool::worker_threads(), false, false);
+    let mut run = Run::new(hawkeye_fleet::pool::worker_threads());
     let mut results = run.scenarios(all).into_iter();
 
     let mut section_jsons = Vec::new();

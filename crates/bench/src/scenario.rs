@@ -38,7 +38,7 @@ use std::time::Instant;
 ///
 /// let scenarios: Vec<Scenario<u64>> =
 ///     (0..4u64).map(|i| Scenario::new(format!("square {i}"), move || i * i)).collect();
-/// assert_eq!(Run::new(2, false, false).scenarios(scenarios), vec![0, 1, 4, 9]);
+/// assert_eq!(Run::new(2).scenarios(scenarios), vec![0, 1, 4, 9]);
 /// ```
 pub struct Scenario<T> {
     name: String,
@@ -89,16 +89,11 @@ impl<T: Send> Scenario<T> {
 pub struct Run {
     /// Worker threads for [`Run::scenarios`].
     pub threads: usize,
-    /// Record a per-scenario event journal (`<target>.trace.json`).
-    pub trace: bool,
-    /// Collect fleet telemetry (`<target>.obs.json`; `fleet_slo` only).
-    pub obs: bool,
-    /// Named event journals: one per traced scenario, plus any a target
+    /// Named event journals: one per scenario, plus any a target
     /// collects itself (the fleet's sampled host journals).
     pub journals: Vec<(String, Journal)>,
-    /// Per-scenario cycle-attribution registries, collected always (the
-    /// registry's disabled-path guarantee means it cannot perturb the
-    /// simulation); they become the summary's `cycles` section.
+    /// Per-scenario cycle-attribution registries; they become the
+    /// summary's `cycles` section.
     pub registries: Vec<(String, Registry)>,
     /// The serialized telemetry document (one JSON object, no trailing
     /// newline), when the target produced one.
@@ -110,13 +105,10 @@ pub struct Run {
 }
 
 impl Run {
-    /// An empty run on `threads` workers with tracing and telemetry as
-    /// given.
-    pub fn new(threads: usize, trace: bool, obs: bool) -> Run {
+    /// An empty run on `threads` workers.
+    pub fn new(threads: usize) -> Run {
         Run {
             threads,
-            trace,
-            obs,
             journals: Vec::new(),
             registries: Vec::new(),
             obs_doc: None,
@@ -133,8 +125,8 @@ impl Run {
     }
 
     /// Runs scenarios on [`Run::threads`] workers; results come back in
-    /// submission order. Each scenario's registry (and journal, when
-    /// tracing) is appended to this run. Wall-clock goes to stderr so
+    /// submission order. Each scenario's journal and registry are
+    /// appended to this run. Wall-clock goes to stderr so
     /// stdout stays byte-identical across worker counts.
     ///
     /// # Panics
@@ -145,7 +137,6 @@ impl Run {
     pub fn scenarios<T: Send + 'static>(&mut self, scenarios: Vec<Scenario<T>>) -> Vec<T> {
         let n = scenarios.len();
         let t0 = Instant::now();
-        let tracing = self.trace;
         // Each job runs start-to-finish on one worker thread, so
         // thread-local scopes around it capture exactly that scenario's
         // events and charges; `run_ordered` brings everything back in
@@ -160,11 +151,9 @@ impl Run {
                 let job = s.job;
                 Box::new(move || {
                     registry::scope::begin();
-                    if tracing {
-                        scope::begin(hawkeye_trace::DEFAULT_CAPACITY);
-                    }
+                    scope::begin(hawkeye_trace::DEFAULT_CAPACITY);
                     let result = panic::catch_unwind(AssertUnwindSafe(job)).map_err(panic_message);
-                    let journal = if tracing { scope::end() } else { None };
+                    let journal = scope::end();
                     let mut reg = registry::scope::end();
                     // Ring-buffer overflow must not stay silent: surface the
                     // drop count as a registry counter (machine 0 = the
@@ -595,8 +584,8 @@ mod tests {
                 })
                 .collect()
         };
-        let serial = Run::new(1, false, false).scenarios(build());
-        let parallel = Run::new(4, false, false).scenarios(build());
+        let serial = Run::new(1).scenarios(build());
+        let parallel = Run::new(4).scenarios(build());
         assert_eq!(serial, parallel);
         assert_eq!(serial, vec![128, 256, 384, 512, 640, 768]);
     }
@@ -615,7 +604,7 @@ mod tests {
                     })
                 })
                 .collect();
-            let mut run = Run::new(threads, false, false);
+            let mut run = Run::new(threads);
             let err = panic::catch_unwind(AssertUnwindSafe(|| run.scenarios(scenarios)))
                 .expect_err("the failure must reach the caller");
             assert_eq!(

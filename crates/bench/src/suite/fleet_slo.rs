@@ -64,31 +64,28 @@ pub fn cohorts() -> Vec<CohortSpec> {
 
 /// Runs the fleet at an explicit shape — the determinism tests and the
 /// CI smoke gate use small fleets; [`report`] uses [`FleetConfig::slo`].
-/// The sampled host journals always go into `run`. With `run.obs` on,
-/// the fleet's per-cohort accumulators are finalized into time series,
-/// evaluated against the default burn-rate rules and stored as the
-/// `fleet_slo.obs.json` document, and the SLO transitions ride into the
-/// trace doc as a synthetic `obs/slo` journal of typed
-/// `slo_breach`/`slo_recover` events. With it off, nothing here runs and
-/// every artifact is bit-identical to the pre-telemetry pipeline.
+/// The sampled host journals go into `run`. The fleet's per-cohort
+/// accumulators are finalized into time series, evaluated against the
+/// default burn-rate rules and stored as the `fleet_slo.obs.json`
+/// document, and the SLO transitions ride into the trace doc as a
+/// synthetic `obs/slo` journal of typed `slo_breach`/`slo_recover`
+/// events.
 pub fn report_with(cfg: &FleetConfig, run: &mut Run) -> Report {
     let t0 = Instant::now();
-    let mut result = hawkeye_fleet::run(cfg, &cohorts(), run.threads, run.obs);
+    let mut result = hawkeye_fleet::run(cfg, &cohorts(), run.threads);
     run.phase("engine", t0.elapsed().as_secs_f64());
-    if let Some(obs) = &result.obs {
-        let series = result
-            .cohorts
-            .iter()
-            .zip(obs.iter())
-            .map(|(slo, acc)| hawkeye_obs::finalize(&slo.cohort, acc))
-            .collect();
-        let doc = hawkeye_obs::evaluate("fleet_slo", series, &hawkeye_obs::default_rules());
-        let records = hawkeye_obs::slo_trace_records(&doc, cfg.epoch_ms);
-        if !records.is_empty() {
-            result.journals.push(("obs/slo".to_string(), Journal { records, dropped: 0 }));
-        }
-        run.obs_doc = Some(doc.to_json().to_string());
+    let series = result
+        .cohorts
+        .iter()
+        .zip(&result.obs)
+        .map(|(slo, acc)| hawkeye_obs::finalize(&slo.cohort, acc))
+        .collect();
+    let doc = hawkeye_obs::evaluate("fleet_slo", series, &hawkeye_obs::default_rules());
+    let records = hawkeye_obs::slo_trace_records(&doc, cfg.epoch_ms);
+    if !records.is_empty() {
+        result.journals.push(("obs/slo".to_string(), Journal { records, dropped: 0 }));
     }
+    run.obs_doc = Some(doc.to_json().to_string());
     run.journals.append(&mut result.journals);
 
     let mut report = Report::new(
@@ -158,34 +155,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn observed_report_keeps_doc_and_matches_unobserved_rows() {
+    fn report_keeps_a_deterministic_obs_doc() {
         let mut cfg = FleetConfig::sized(8);
         cfg.epochs = 4;
-        let mut plain = Run::new(2, false, false);
-        let plain_report = report_with(&cfg, &mut plain);
-        assert!(plain.obs_doc.is_none());
-
-        let mut observed = Run::new(2, false, true);
-        let observed_report = report_with(&cfg, &mut observed);
-
-        // Zero drift: the report table is bit-identical with obs on.
-        assert_eq!(plain_report.json().to_string(), observed_report.json().to_string());
-        // Host journals are untouched; obs may append one synthetic
-        // `obs/slo` journal at the end.
-        assert_eq!(&observed.journals[..plain.journals.len()], &plain.journals[..]);
-        for (name, _) in &observed.journals[plain.journals.len()..] {
+        let mut run = Run::new(2);
+        report_with(&cfg, &mut run);
+        // Host journals come first; the SLO transitions may append one
+        // synthetic `obs/slo` journal at the end.
+        let hosts = 2 * cfg.journal_hosts;
+        assert!(run.journals[..hosts].iter().all(|(name, _)| name != "obs/slo"));
+        for (name, _) in &run.journals[hosts..] {
             assert_eq!(name, "obs/slo");
         }
 
         // The doc has both cohorts with one point per epoch.
-        let doc = observed.obs_doc.expect("observed run keeps its doc");
+        let doc = run.obs_doc.expect("the fleet run keeps its doc");
         assert!(doc.starts_with(r#"{"target":"fleet_slo","schema_version":"#));
         assert!(doc.contains(r#""cohort":"HawkEye-G+throttle""#));
         assert!(doc.contains(r#""cohort":"Linux-2MB+noop""#));
         assert_eq!(doc.matches(r#"{"epoch":"#).count(), 2 * cfg.epochs as usize);
 
         // Determinism: 8 workers produce the same bytes.
-        let mut rerun = Run::new(8, false, true);
+        let mut rerun = Run::new(8);
         report_with(&cfg, &mut rerun);
         assert_eq!(rerun.obs_doc, Some(doc));
     }
@@ -194,7 +185,7 @@ mod tests {
     fn small_fleet_report_has_both_cohorts_and_steering() {
         let mut cfg = FleetConfig::sized(8);
         cfg.epochs = 4;
-        let mut run = Run::new(2, false, false);
+        let mut run = Run::new(2);
         let r = report_with(&cfg, &mut run);
         assert_eq!(r.rows().len(), 2);
         assert_eq!(r.rows()[0].cells[0], "HawkEye-G+throttle");
@@ -202,6 +193,7 @@ mod tests {
         let json = r.json().to_string();
         assert!(json.contains("\"p99_fault_us\""));
         assert!(json.contains("\"steer_decisions\""));
-        assert_eq!(run.journals.len(), 2 * cfg.journal_hosts);
+        let hosts = run.journals.iter().filter(|(name, _)| name != "obs/slo");
+        assert_eq!(hosts.count(), 2 * cfg.journal_hosts);
     }
 }

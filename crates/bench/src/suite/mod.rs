@@ -15,8 +15,11 @@
 //! one-command reproduction pipeline and the bench can never drift apart
 //! (DESIGN.md §12).
 //!
-//! `ablations` and `touch_throughput` stay standalone benches: they are
-//! exploratory tools, not rows of the experiment index.
+//! Every target runs in one configuration: each scenario is traced, and
+//! `fleet_slo` always collects its telemetry document.
+//!
+//! `ablations` stays a standalone bench: it is an exploratory tool, not a
+//! row of the experiment index.
 
 pub mod adversarial;
 pub mod fig10_prezero_interference;

@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn aggregates_pinned_and_contention_appears() {
-        let report = report(&mut Run::new(2, false, false));
+        let report = report(&mut Run::new(2));
         let rows = report.rows();
         assert_eq!(rows.len(), 8, "2 policies x 4 core counts");
         // Within each policy, exec/faults/promos identical across cores.
@@ -185,7 +185,7 @@ mod tests {
             },
             |out| out.faults(),
         )];
-        let mut run = Run::new(1, false, false);
+        let mut run = Run::new(1);
         let results = run.scenarios(scenarios);
         assert!(results[0] > 0);
         let (_, reg) = &run.registries[0];

@@ -37,7 +37,7 @@ fn matrix() -> Vec<Scenario<u64>> {
 
 #[test]
 fn every_policy_attributes_every_cycle() {
-    let mut run = Run::new(4, true, false);
+    let mut run = Run::new(4);
     run.scenarios(matrix());
     let (journals, regs) = (run.journals, run.registries);
     assert_eq!(regs.len(), KINDS.len(), "every scenario must return a registry");
@@ -80,7 +80,7 @@ fn every_policy_attributes_every_cycle() {
 #[test]
 fn cycles_section_is_byte_identical_across_worker_counts() {
     let cycles = |threads| {
-        let mut run = Run::new(threads, false, false);
+        let mut run = Run::new(threads);
         run.scenarios(matrix());
         cycles_json(&run.registries).to_string()
     };

@@ -54,7 +54,7 @@ fn render(threads: usize) -> (String, String) {
         "Determinism check: Spinup faults across policies",
         vec!["Policy", "faults", "avg fault (us)", "exec (s)"],
     );
-    report.extend(Run::new(threads, false, false).scenarios(matrix()));
+    report.extend(Run::new(threads).scenarios(matrix()));
     (report.text(), report.json().to_string())
 }
 
@@ -76,10 +76,9 @@ fn trace_journals_match_at_one_and_eight_workers() {
     // The determinism rule extends to traces: per-scenario journals come
     // back in submission order with machine ids assigned per scenario, so
     // the serialized `.trace.json` document is byte-identical at any
-    // worker count. Tracing is switched on per run, not through the
-    // `HAWKEYE_TRACE` environment variable, keeping the test race-free.
+    // worker count.
     let journals = |threads| {
-        let mut run = Run::new(threads, true, false);
+        let mut run = Run::new(threads);
         run.scenarios(matrix());
         run.journals
     };

@@ -1,6 +1,7 @@
 //! The fleet extends the artifact determinism gate: a 256-host fleet's
-//! JSON summary, trace journals, and FLEET.md are byte-identical at any
-//! worker count and across repeated runs.
+//! JSON summary, trace journals, FLEET.md, telemetry document and the
+//! ALERTS.md rendered from it are byte-identical at any worker count and
+//! across repeated runs (DESIGN.md §15–16).
 //!
 //! Worker counts are pinned through each run's `threads`, not
 //! `HAWKEYE_BENCH_THREADS`, so the test stays race-free under parallel
@@ -11,41 +12,60 @@ use hawkeye_analyze::summary::parse_summary;
 use hawkeye_bench::suite::fleet_slo::report_with;
 use hawkeye_bench::Run;
 use hawkeye_fleet::FleetConfig;
+use hawkeye_obs::{alerts_md, ObsDoc};
 use hawkeye_trace::trace_doc_string;
 
-/// One full 256-host fleet run at `threads` workers, reduced to the three
-/// artifact byte-streams the determinism gate covers.
-fn artifacts(threads: usize) -> (String, String, String) {
+/// One full 256-host fleet run at `threads` workers, reduced to the five
+/// artifact byte-streams the determinism gate covers:
+/// `[summary, trace_doc, fleet_md, obs_doc, alerts_md]`.
+fn artifacts(threads: usize) -> [String; 5] {
     let cfg = FleetConfig::sized(256);
-    let mut run = Run::new(threads, false, false);
+    let mut run = Run::new(threads);
     let report = report_with(&cfg, &mut run);
     let summary = report.json().to_string();
     assert!(!run.journals.is_empty(), "fleet must persist journaled hosts");
     let trace = trace_doc_string("fleet_slo", &run.journals);
     let doc = parse_summary(&summary).expect("fleet summary parses");
     let fleet = fleet_md(&doc).expect("fleet_slo renders FLEET.md");
-    (summary, trace, fleet)
+    let obs = run.obs_doc.expect("the fleet run keeps its obs document");
+    // ALERTS.md is rendered from the parsed artifact, as hawkeye-report
+    // does, so this also pins the writer/parser round trip.
+    let alerts = alerts_md(&ObsDoc::parse(&obs).expect("obs doc parses back"));
+    [summary, trace, fleet, obs, alerts]
 }
+
+const NAMES: [&str; 5] = ["JSON summary", "trace document", "FLEET.md", "obs document", "ALERTS.md"];
 
 #[test]
 fn fleet_artifacts_are_byte_identical_across_worker_counts_and_runs() {
-    let (sum1, trace1, fleet1) = artifacts(1);
-    let (sum8, trace8, fleet8) = artifacts(8);
-    assert_eq!(sum1, sum8, "JSON summary must not depend on worker count");
-    assert_eq!(trace1, trace8, "trace document must not depend on worker count");
-    assert_eq!(fleet1, fleet8, "FLEET.md must not depend on worker count");
-
+    let one = artifacts(1);
+    let eight = artifacts(8);
     // Same thread count, fresh run: the orchestrator owns all its RNG
     // state, so a repeat is bit-for-bit the same.
-    let (sum8b, trace8b, fleet8b) = artifacts(8);
-    assert_eq!(sum8, sum8b, "JSON summary must be stable across runs");
-    assert_eq!(trace8, trace8b, "trace document must be stable across runs");
-    assert_eq!(fleet8, fleet8b, "FLEET.md must be stable across runs");
+    let again = artifacts(8);
+    for (i, name) in NAMES.iter().enumerate() {
+        assert_eq!(one[i], eight[i], "{name} must not depend on worker count");
+        assert_eq!(eight[i], again[i], "{name} must be stable across runs");
+    }
 
     // Sanity: both cohorts are present and the steered cohort steered.
+    let [summary, trace, fleet, obs, alerts] = &one;
     for needle in ["HawkEye-G+throttle", "Linux-2MB+noop", "\"steer_decisions\""] {
-        assert!(sum1.contains(needle), "missing {needle:?} in summary");
+        assert!(summary.contains(needle), "missing {needle:?} in summary");
     }
-    assert!(fleet1.contains("## Tenancy and steering"));
-    assert!(trace1.contains("fleet_slo"), "trace doc carries the target name");
+    assert!(fleet.contains("## Tenancy and steering"));
+    assert!(trace.contains("fleet_slo"), "trace doc carries the target name");
+
+    // The telemetry document is structurally complete.
+    let doc = ObsDoc::parse(obs).expect("obs doc parses back");
+    assert_eq!(doc.target, "fleet_slo");
+    assert_eq!(doc.cohorts.len(), 2, "both cohorts observed");
+    for c in &doc.cohorts {
+        assert!(!c.series.points.is_empty(), "per-epoch series populated");
+    }
+    for needle in
+        ["# Fleet SLO alerts", "HawkEye-G+throttle", "Linux-2MB+noop", "Per-epoch series"]
+    {
+        assert!(alerts.contains(needle), "missing {needle:?} in ALERTS.md:\n{alerts}");
+    }
 }

@@ -22,7 +22,7 @@ use hawkeye_trace::{parse_trace, trace_doc_string};
 /// One reduced-scale traced run of a family at `threads` workers,
 /// reduced to the summary JSON and trace-document byte streams.
 fn family(target: &str, threads: usize) -> (String, String) {
-    let mut run = Run::new(threads, true, false);
+    let mut run = Run::new(threads);
     let report = match target {
         "oltp_btree" => oltp_btree::report_with(8, 20_000, &mut run),
         "hpc_stencil" => hpc_stencil::report_with(4, 8, &mut run),

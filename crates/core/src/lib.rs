@@ -39,9 +39,6 @@ pub mod hawkeye;
 pub mod prezero;
 
 pub use access_map::{AccessMap, BUCKETS};
-/// Warn-once `HAWKEYE_*` env knob parsing (re-exported from
-/// `hawkeye_metrics::env` so policy-level code has it under one roof).
-pub use hawkeye_metrics::env;
 pub use bloat::BloatRecovery;
 pub use config::{HawkEyeConfig, Variant};
 pub use estimator::estimate_overhead;

@@ -39,7 +39,7 @@
 //!     },
 //!     hook: || Box::new(NoopHook),
 //! };
-//! let result = run(&cfg, &[cohort], 2, false);
+//! let result = run(&cfg, &[cohort], 2);
 //! assert_eq!(result.cohorts.len(), 1);
 //! assert!(result.cohorts[0].faults > 0);
 //! ```

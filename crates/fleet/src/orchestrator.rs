@@ -165,9 +165,8 @@ pub struct FleetResult {
     pub cohorts: Vec<CohortSlo>,
     /// `("<cohort>/h<index>", journal)` for each journaled host.
     pub journals: Vec<(String, Journal)>,
-    /// Per-cohort telemetry accumulators (same order as `cohorts`),
-    /// present only when obs collection was enabled for the run.
-    pub obs: Option<Vec<CohortAcc>>,
+    /// Per-cohort telemetry accumulators, same order as `cohorts`.
+    pub obs: Vec<CohortAcc>,
 }
 
 /// Per-group reduction, folded into [`CohortSlo`]s on the main thread.
@@ -184,20 +183,18 @@ struct GroupOutcome {
     counters: HostCounters,
     steers: u64,
     journals: Vec<(usize, Journal)>,
-    obs: Option<CohortAcc>,
+    obs: CohortAcc,
 }
 
 /// Runs the fleet: every `(cohort, group)` pair becomes one pool job.
 /// Results aggregate in submission order, so the output is byte-stable
 /// at any `threads`.
 ///
-/// With `observe` on, each group additionally folds its hosts' per-epoch
-/// windows (fault latencies from the trace tail the hook already sees,
-/// walk/unhalted registry deltas, utilization, FMFI) into mergeable
-/// [`CohortAcc`]s — pure reads of state the epoch loop computes anyway,
-/// so the simulation is bit-identical either way; with it off the
-/// per-epoch cost is one `Option` branch.
-pub fn run(cfg: &FleetConfig, cohorts: &[CohortSpec], threads: usize, observe: bool) -> FleetResult {
+/// Each group also folds its hosts' per-epoch windows (fault latencies
+/// from the trace tail the hook already sees, walk/unhalted registry
+/// deltas, utilization, FMFI) into mergeable [`CohortAcc`]s — pure reads
+/// of state the epoch loop computes anyway.
+pub fn run(cfg: &FleetConfig, cohorts: &[CohortSpec], threads: usize) -> FleetResult {
     let groups = cfg.hosts.div_ceil(cfg.group_size.max(1));
     let mut jobs: Vec<Job<GroupOutcome>> = Vec::new();
     for (ci, spec) in cohorts.iter().enumerate() {
@@ -206,14 +203,14 @@ pub fn run(cfg: &FleetConfig, cohorts: &[CohortSpec], threads: usize, observe: b
         for g in 0..groups {
             let lo = g * cfg.group_size;
             let n = cfg.group_size.min(cfg.hosts - lo);
-            jobs.push(Box::new(move || run_group(&cfg, &spec, ci, g, n, observe)));
+            jobs.push(Box::new(move || run_group(&cfg, &spec, ci, g, n)));
         }
     }
     let outcomes = pool::run_ordered(jobs, threads);
     let mut result = FleetResult {
         cohorts: Vec::new(),
         journals: Vec::new(),
-        obs: observe.then(Vec::new),
+        obs: Vec::new(),
     };
     for (ci, spec) in cohorts.iter().enumerate() {
         let mut hist = LogHistogram::new();
@@ -235,11 +232,9 @@ pub fn run(cfg: &FleetConfig, cohorts: &[CohortSpec], threads: usize, observe: b
             tenancy: HostCounters::default(),
             steer_decisions: 0,
         };
-        let mut cohort_acc = result.obs.is_some().then(CohortAcc::default);
+        let mut cohort_acc = CohortAcc::default();
         for out in &outcomes[ci * groups..(ci + 1) * groups] {
-            if let (Some(acc), Some(shard)) = (cohort_acc.as_mut(), out.obs.as_ref()) {
-                acc.merge(shard);
-            }
+            cohort_acc.merge(&out.obs);
             hist.merge(&out.fault_hist);
             walk += out.walk;
             unhalted += out.unhalted;
@@ -271,9 +266,7 @@ pub fn run(cfg: &FleetConfig, cohorts: &[CohortSpec], threads: usize, observe: b
             1.0 - util_sum / util_samples as f64
         };
         result.cohorts.push(slo);
-        if let (Some(all), Some(acc)) = (result.obs.as_mut(), cohort_acc) {
-            all.push(acc);
-        }
+        result.obs.push(cohort_acc);
     }
     result
 }
@@ -285,7 +278,6 @@ fn run_group(
     cohort: usize,
     group: usize,
     nhosts: usize,
-    observe: bool,
 ) -> GroupOutcome {
     let mut rng = SplitMix64::new(
         cfg.seed ^ ((cohort as u64) << 48) ^ ((group as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
@@ -304,12 +296,11 @@ fn run_group(
         counters: HostCounters::default(),
         steers: 0,
         journals: Vec::new(),
-        obs: observe.then(|| CohortAcc::with_epochs(cfg.epochs as usize)),
+        obs: CohortAcc::with_epochs(cfg.epochs as usize),
     };
     // Per-host cumulative (walk, unhalted) cycles at the previous epoch
-    // boundary, so each epoch records deltas. Allocated only when
-    // observing — the disabled path costs one branch per loop.
-    let mut obs_prev = observe.then(|| vec![(0u64, 0u64); nhosts]);
+    // boundary, so each epoch records deltas.
+    let mut obs_prev = vec![(0u64, 0u64); nhosts];
     let journaled = |i: usize| group * cfg.group_size + i < cfg.journal_hosts;
     let mut hosts: Vec<Host> = (0..nhosts)
         .map(|i| {
@@ -334,30 +325,28 @@ fn run_group(
         for host in &mut hosts {
             host.reap();
         }
-        // 3. Hook observation + steering, in host order. When telemetry
-        // is on, the same HostObs window feeds the per-epoch accumulator
-        // before the hook sees it — pure reads, zero simulation drift.
+        // 3. Hook observation + steering, in host order. The same
+        // HostObs window feeds the per-epoch telemetry accumulator before
+        // the hook sees it — pure reads, zero simulation drift.
         for (i, host) in hosts.iter_mut().enumerate() {
             let obs = host.observe(group * cfg.group_size + i, epoch);
             out.util_sum += obs.utilization;
             out.util_samples += 1;
-            if let (Some(acc), Some(prev)) = (out.obs.as_mut(), obs_prev.as_mut()) {
-                let slot = acc.epoch_mut(epoch as usize);
-                slot.util_sum += obs.utilization;
-                slot.fmfi_sum += obs.fmfi;
-                slot.hosts += 1;
-                for r in &obs.events {
-                    if let TraceEvent::Fault { cycles, .. } = r.event {
-                        slot.fault_sketch.observe(cycles);
-                    }
+            let slot = out.obs.epoch_mut(epoch as usize);
+            slot.util_sum += obs.utilization;
+            slot.fmfi_sum += obs.fmfi;
+            slot.hosts += 1;
+            for r in &obs.events {
+                if let TraceEvent::Fault { cycles, .. } = r.event {
+                    slot.fault_sketch.observe(cycles);
                 }
-                if let Some(m) = &obs.metrics {
-                    let (walk, unhalted) = (m.cpu_cycles(Subsystem::Walk), m.unhalted());
-                    let (pw, pu) = prev[i];
-                    slot.walk_cycles += walk.saturating_sub(pw);
-                    slot.unhalted_cycles += unhalted.saturating_sub(pu);
-                    prev[i] = (walk, unhalted);
-                }
+            }
+            if let Some(m) = &obs.metrics {
+                let (walk, unhalted) = (m.cpu_cycles(Subsystem::Walk), m.unhalted());
+                let (pw, pu) = obs_prev[i];
+                slot.walk_cycles += walk.saturating_sub(pw);
+                slot.unhalted_cycles += unhalted.saturating_sub(pu);
+                obs_prev[i] = (walk, unhalted);
             }
             if let Some(s) = hook.steer(&obs) {
                 host.sim.steer(&s);
@@ -487,7 +476,7 @@ mod tests {
     fn tiny_fleet_runs_and_reports() {
         let mut cfg = FleetConfig::sized(8);
         cfg.epochs = 4;
-        let result = run(&cfg, &[base_cohort(), throttled_cohort()], 2, false);
+        let result = run(&cfg, &[base_cohort(), throttled_cohort()], 2);
         assert_eq!(result.cohorts.len(), 2);
         for slo in &result.cohorts {
             assert_eq!(slo.hosts, 8);
@@ -508,47 +497,43 @@ mod tests {
     fn observed_runs_collect_without_drifting_the_simulation() {
         let mut cfg = FleetConfig::sized(8);
         cfg.epochs = 4;
-        let plain = run(&cfg, &[base_cohort()], 2, false);
-        let observed = run(&cfg, &[base_cohort()], 2, true);
-        // Zero drift: collection only reads state the epoch loop already
-        // computes, so every simulated observable matches exactly.
-        assert!(plain.obs.is_none());
-        for (x, y) in plain.cohorts.iter().zip(&observed.cohorts) {
-            assert_eq!(format!("{x:?}"), format!("{y:?}"));
-        }
-        assert_eq!(plain.journals, observed.journals);
-        // And the accumulators carry real, fully-sampled telemetry.
-        let obs = observed.obs.expect("observed run exports accumulators");
-        assert_eq!(obs.len(), 1);
-        let acc = &obs[0];
+        let result = run(&cfg, &[base_cohort()], 2);
+        // The accumulators carry real, fully-sampled telemetry.
+        assert_eq!(result.obs.len(), 1);
+        let acc = &result.obs[0];
         assert_eq!(acc.epochs.len(), cfg.epochs as usize);
         for (e, slot) in acc.epochs.iter().enumerate() {
             assert_eq!(slot.hosts, cfg.hosts as u64, "epoch {e} sampled every host");
             assert!(slot.unhalted_cycles > 0, "epoch {e} charged cycles");
         }
+        let sketched: u64 = acc.epochs.iter().map(|s| s.fault_sketch.count()).sum();
+        assert!(sketched > 0, "fault windows reach the sketch");
+        // No drift: telemetry reads the same windows the SLOs are built
+        // from, so it agrees with what the simulation itself reports.
+        let slo = &result.cohorts[0];
+        assert!(sketched <= slo.faults, "sketch saw {sketched} of {} faults", slo.faults);
+        let samples: u64 = acc.epochs.iter().map(|s| s.hosts).sum();
+        let util: f64 = acc.epochs.iter().map(|s| s.util_sum).sum();
+        let headroom = 1.0 - util / samples as f64;
         assert!(
-            acc.epochs.iter().any(|s| s.fault_sketch.count() > 0),
-            "fault windows reach the sketch"
+            (headroom - slo.rss_headroom).abs() < 1e-12,
+            "telemetry headroom {headroom} vs SLO {}",
+            slo.rss_headroom
         );
-        // Determinism: worker count and repetition don't change the
-        // merged accumulators (byte-compared via the sketch encoding).
-        let again = run(&cfg, &[base_cohort()], 8, true);
-        assert_eq!(Some(obs), again.obs);
     }
 
     #[test]
     fn fleet_is_deterministic_across_worker_counts() {
         let mut cfg = FleetConfig::sized(16);
         cfg.epochs = 3;
-        let a = run(&cfg, &[base_cohort()], 1, false);
-        let b = run(&cfg, &[base_cohort()], 8, false);
+        let a = run(&cfg, &[base_cohort()], 1);
+        let b = run(&cfg, &[base_cohort()], 8);
+        // Worker count changes nothing: SLOs, journals, and the merged
+        // accumulators (byte-compared via the sketch encoding).
         for (x, y) in a.cohorts.iter().zip(&b.cohorts) {
             assert_eq!(format!("{x:?}"), format!("{y:?}"));
         }
-        assert_eq!(a.journals.len(), b.journals.len());
-        for ((na, ja), (nb, jb)) in a.journals.iter().zip(&b.journals) {
-            assert_eq!(na, nb);
-            assert_eq!(ja, jb);
-        }
+        assert_eq!(a.journals, b.journals);
+        assert_eq!(a.obs, b.obs);
     }
 }

@@ -108,9 +108,7 @@ pub struct KernelConfig {
     /// next interesting event (op transition, region boundary, policy
     /// tick, metric sample, deadline). Exact — every counter, trace event
     /// and report byte is identical with it off — so this switch exists
-    /// only for differential testing and A/B timing. The
-    /// `HAWKEYE_NO_EVENT_SKIP` environment variable (checked at
-    /// [`crate::Simulator::new`]) forces it off.
+    /// only for differential testing and A/B timing.
     pub event_skip: bool,
     /// Simulated cores (1–8). At 1 (the default) the machine is the
     /// classic serial engine, bit-identical with every pre-multicore

@@ -62,9 +62,6 @@ pub struct Simulator {
     next_tick: Cycles,
     next_sample: Cycles,
     hook: Option<Box<dyn AccessHook>>,
-    /// Event-skip scheduling enabled (config knob gated by the
-    /// `HAWKEYE_NO_EVENT_SKIP` environment override).
-    event_skip: bool,
     /// `(total, skipped)` scheduler quanta across this simulator's run
     /// calls (see [`Simulator::quanta`]).
     quanta: (u64, u64),
@@ -122,15 +119,12 @@ impl Simulator {
     pub fn new(config: KernelConfig, policy: Box<dyn HugePagePolicy>) -> Self {
         let next_tick = config.tick_period;
         let next_sample = config.sample_period;
-        let event_skip =
-            config.event_skip && std::env::var_os("HAWKEYE_NO_EVENT_SKIP").is_none();
         Simulator {
             machine: Machine::new(config),
             policy: Some(policy),
             next_tick,
             next_sample,
             hook: None,
-            event_skip,
             quanta: (0, 0),
         }
     }
@@ -245,7 +239,7 @@ impl Simulator {
             && self.round()
         {
             total += 1;
-            if !self.event_skip {
+            if !self.machine.config().event_skip {
                 continue;
             }
             // Re-plan after each batch: a batch usually ends at a cap
@@ -770,8 +764,9 @@ impl Simulator {
         n
     }
 
-    /// One page touch: translation (with TLB timing), fault handling via
-    /// the policy, content dirtying, and repeat accesses. Costs accumulate
+    /// One page touch: [`Simulator::touch_mapped`] (translation with TLB
+    /// timing, content dirtying, repeat accesses), taking one fault via
+    /// the policy each time it finds no usable mapping. Costs accumulate
     /// directly into `spent` (and their attribution into `ledger`), so
     /// fault work done before a mid-touch OOM stays counted in the
     /// quantum — matching the registry charges the fault primitives
@@ -802,18 +797,10 @@ impl Simulator {
         ledger: &mut CpuLedger,
     ) -> Result<hawkeye_vm::Translation, OutOfMemory> {
         let repeats = repeats.max(1);
-        if let Some(tr) = self.touch_mapped(pid, vpn, write, repeats, think, spent, ledger) {
-            return Ok(tr);
-        }
-        let access_cost = self.machine.config().costs.access;
         let mut guard = 0;
-        let translation = loop {
-            let tr = {
-                let p = self.machine.process_mut(pid).expect("running process");
-                p.space_mut().access(vpn, write)
-            };
-            if let Some(t) = tr {
-                break t;
+        loop {
+            if let Some(tr) = self.touch_mapped(pid, vpn, write, repeats, think, spent, ledger) {
+                return Ok(tr);
             }
             guard += 1;
             assert!(guard <= 3, "fault loop did not converge at {vpn}");
@@ -845,38 +832,15 @@ impl Simulator {
                     cycles: fault_cost.get(),
                 },
             );
-        };
-        let out = self.machine.mmu_mut().access(pid, vpn, translation.size, write);
-        let compute = (access_cost + Cycles::new(think as u64)) * repeats as u64;
-        *spent += out.cycles + compute;
-        ledger.walk += out.cycles;
-        ledger.idle += compute;
-        if let Some(hook) = self.hook.as_mut() {
-            let hook_cost =
-                hook.on_touch(pid, vpn, translation.pfn, translation.size, write, out.walk_cycles);
-            *spent += hook_cost;
-            ledger.fault += hook_cost;
         }
-        if write && !translation.zero_cow {
-            let dirt = self.machine.process_mut(pid).expect("exists").dirt_offset();
-            self.machine
-                .pm_mut()
-                .frame_mut(translation.pfn)
-                .set_content(hawkeye_mem::PageContent::non_zero(dirt));
-        }
-        let p = self.machine.process_mut(pid).expect("exists");
-        let st = p.stats_mut();
-        st.touches += 1;
-        st.accesses += repeats as u64;
-        Ok(translation)
     }
 
-    /// The no-fault arm of [`Simulator::touch_page`]: when the page is
-    /// already mapped (and, for writes, resolved past any zero-COW), one
-    /// process lookup serves the translation, the dirt draw and the stats
-    /// update. Returns `None` — with no state change beyond the
-    /// side-effect-free failed translation — when a fault is needed, and
-    /// the caller falls back to the fault loop.
+    /// One touch of a mapped page (for writes, resolved past any
+    /// zero-COW): one process lookup serves the translation, the MMU
+    /// access, the dirt draw and the stats update. Returns `None` — with
+    /// no state change beyond the side-effect-free failed translation —
+    /// when a fault is needed; [`Simulator::touch_page`] takes it and
+    /// retries.
     #[allow(clippy::too_many_arguments)]
     fn touch_mapped(
         &mut self,

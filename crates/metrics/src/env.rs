@@ -1,17 +1,15 @@
 //! Warn-once parsing for `HAWKEYE_*` environment knobs.
 //!
-//! Every tunable in the workspace (`HAWKEYE_BENCH_THREADS`, …)
-//! historically fell back to its default silently when the value failed
-//! to parse, so a typo like `HAWKEYE_BENCH_THREADS=abc` looked exactly
-//! like "knob unset". [`parse`]
-//! centralises the read: a set-but-unparsable value emits one stderr
-//! warning per (variable, value) pair for the lifetime of the process
-//! and then behaves as unset, so the caller's default still applies but
-//! the typo is visible.
+//! The one knob read through here is `HAWKEYE_BENCH_THREADS`, which
+//! changes the worker count only, never any output. A set-but-unparsable
+//! value (a typo like `HAWKEYE_BENCH_THREADS=abc`) must not look exactly
+//! like "knob unset", so [`parse`] emits one stderr warning per
+//! (variable, value) pair for the lifetime of the process and then
+//! behaves as unset: the caller's default still applies, but the typo is
+//! visible.
 //!
 //! The helper lives here because `hawkeye-metrics` is the workspace's
-//! dependency root; `hawkeye-core` re-exports it as `hawkeye_core::env`
-//! for callers that sit above the kernel.
+//! dependency root.
 
 use std::collections::BTreeSet;
 use std::str::FromStr;
@@ -41,14 +39,6 @@ pub fn parse<T: FromStr>(name: &str) -> Option<T> {
             None
         }
     }
-}
-
-/// Reads an on/off switch from the environment: on when `name` is set,
-/// non-empty, and not `"0"`. Binaries read their switches
-/// (`HAWKEYE_TRACE`, `HAWKEYE_OBS`) once at startup and pass them down
-/// as plain values.
-pub fn flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 fn warn_once(name: &str, raw: &str) {

@@ -25,15 +25,15 @@
 //!    counters; wall clock quarantined to an advisory digest), rendered
 //!    run-over-run as `TREND.md` with a `--check`-style regression gate.
 //!
-//! # Gating
+//! # Collection
 //!
-//! Collection obeys the standing instrumentation invariant: one branch
-//! when disabled, zero drift either way. It is off unless the caller
-//! asks for it: the fleet runner and the `fleet_slo` target take an
-//! explicit `observe` flag, which the binaries set from the `HAWKEYE_OBS`
-//! environment variable. Everything downstream of collection is a pure
-//! function of the collected document, so artifacts are reproducible
-//! from `fleet_slo.obs.json` alone.
+//! Every fleet run collects: the fleet runner folds each host's
+//! per-epoch `HostObs` window — the same one its hook reads — into the
+//! accumulators, pure reads of state the epoch loop already computes,
+//! and the `fleet_slo` target always writes the document. Everything
+//! downstream of collection is a pure function of the collected
+//! document, so artifacts are reproducible from `fleet_slo.obs.json`
+//! alone.
 
 #![warn(missing_docs)]
 

@@ -210,9 +210,9 @@ impl TargetWall {
     }
 }
 
-/// Runs the selected targets in-process with tracing on (and fleet
-/// telemetry when `obs`), writing `<dir>/<target>.json`,
-/// `<dir>/<target>.trace.json` and, for telemetry, `.obs.json` for each.
+/// Runs the selected targets in-process, writing `<dir>/<target>.json`,
+/// `<dir>/<target>.trace.json` and, for `fleet_slo`, the telemetry
+/// document `<dir>/fleet_slo.obs.json`.
 /// The bench tables go to stdout exactly as the standalone binaries
 /// print them, so a report run doubles as a full-suite run. Returns the
 /// host wall-clock record per target (suite order) for the WALLCLOCK.md
@@ -224,14 +224,13 @@ impl TargetWall {
 pub fn run_suite(
     targets: &[&'static Target],
     threads: usize,
-    obs: bool,
     dir: &Path,
 ) -> Result<Vec<TargetWall>, Vec<String>> {
     let mut walls = Vec::with_capacity(targets.len());
     let mut failed = Vec::new();
     for t in targets {
         let t0 = std::time::Instant::now();
-        let run = match std::panic::catch_unwind(|| t.run(Run::new(threads, true, obs))) {
+        let run = match std::panic::catch_unwind(|| t.run(Run::new(threads))) {
             Ok(run) => run,
             Err(payload) => {
                 failed.push(format!("target `{}`: {}", t.name, panic_message(payload)));
@@ -721,12 +720,12 @@ mod tests {
     #[test]
     fn run_suite_names_a_panicking_target_and_runs_the_rest() {
         let dir = scratch("run-suite");
-        let err = run_suite(&[&FIRST, &BROKEN, &LAST], 1, false, &dir)
+        let err = run_suite(&[&FIRST, &BROKEN, &LAST], 1, &dir)
             .expect_err("a panicking target fails the suite");
         assert_eq!(err, vec!["target `broken`: injected failure".to_string()]);
         assert!(dir.join("first.json").exists());
         assert!(dir.join("last.json").exists(), "targets after the failure still run");
-        let walls = run_suite(&[&FIRST, &LAST], 1, false, &dir).expect("healthy suite");
+        let walls = run_suite(&[&FIRST, &LAST], 1, &dir).expect("healthy suite");
         assert_eq!(walls.iter().map(|w| w.name).collect::<Vec<_>>(), ["first", "last"]);
     }
 

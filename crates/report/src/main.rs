@@ -16,7 +16,7 @@ fn usage() -> &'static str {
      \x20                     [--only t1,t2,...] [--dir DIR] [--trend]\n\
      \x20                     [--ledger DIR] [--counts]\n\
      \n\
-     Runs the full paper-experiment suite in-process (tracing on),\n\
+     Runs the full paper-experiment suite in-process,\n\
      writes per-target summaries + trace journals under DIR, and renders\n\
      DIR/REPORT.md: every table/figure of DESIGN.md \u{a7}4 side-by-side\n\
      with the paper's number, a percent delta, and a tolerance band.\n\
@@ -45,8 +45,7 @@ fn usage() -> &'static str {
      When the selection includes fleet_slo, DIR/FLEET.md (per-cohort\n\
      fleet SLO tables) is written next to REPORT.md; when it includes\n\
      adversarial, DIR/ENVELOPES.md (the failure-envelope atlas) is\n\
-     written the same way. When the run was\n\
-     telemetry-enabled (HAWKEYE_OBS=1) DIR/ALERTS.md (SLO burn-rate\n\
+     written the same way, and DIR/ALERTS.md (SLO burn-rate\n\
      transitions + anomaly annotations) is rendered from the\n\
      fleet_slo.obs.json artifact.\n\
      \n\
@@ -173,8 +172,7 @@ fn main() -> ExitCode {
             "[hawkeye-report] running {} suite target(s) on {threads} worker(s)",
             targets.len()
         );
-        let obs = hawkeye_metrics::env::flag("HAWKEYE_OBS");
-        walls = match hawkeye_report::run_suite(&targets, threads, obs, &data_dir) {
+        walls = match hawkeye_report::run_suite(&targets, threads, &data_dir) {
             Ok(walls) => walls,
             Err(failed) => {
                 for f in &failed {
@@ -260,7 +258,7 @@ fn main() -> ExitCode {
     }
 
     // ALERTS.md: SLO burn-rate transitions + anomaly annotations,
-    // whenever a telemetry-enabled run left the obs document behind. A
+    // whenever a fleet_slo run left the obs document behind. A
     // present-but-unreadable document is a pipeline error, not a skip.
     let obs_path = data_dir.join("fleet_slo.obs.json");
     match std::fs::read_to_string(&obs_path) {

@@ -395,7 +395,7 @@ impl VirtSystem {
         vcfg: VirtConfig,
     ) -> Self {
         let guest_template = host_cfg.clone();
-        let next_tick = guest_template_tick(&guest_template);
+        let next_tick = guest_template.tick_period;
         let machine = Machine::new(host_cfg);
         VirtSystem {
             host: Arc::new(Mutex::new(HostSide {
@@ -659,10 +659,6 @@ impl VirtSystem {
         }
         self.vms[vm].ksm_cursor = cursor;
     }
-}
-
-fn guest_template_tick(cfg: &KernelConfig) -> Cycles {
-    cfg.tick_period
 }
 
 #[cfg(test)]
