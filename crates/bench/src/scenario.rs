@@ -208,7 +208,6 @@ impl Run {
             obs_doc: self.obs_doc,
             phases: self.phases,
             quanta_total: 0,
-            quanta_skipped: 0,
         }
     }
 }
@@ -240,8 +239,6 @@ pub struct TargetRun {
     pub phases: Vec<(&'static str, f64)>,
     /// Scheduler quanta elapsed across the target's simulations.
     pub quanta_total: u64,
-    /// Quanta the event-skip scheduler charged in closed form.
-    pub quanta_skipped: u64,
 }
 
 impl TargetRun {

@@ -63,14 +63,10 @@ impl Target {
     /// are the process-wide scheduler-counter delta around the build,
     /// exact as long as no other target runs at the same time.
     pub fn run(&self, mut run: Run) -> TargetRun {
-        let (total0, skipped0) = hawkeye_kernel::sched_stats::snapshot();
+        let (total0, _) = hawkeye_kernel::sched_stats::snapshot();
         let report = (self.build)(&mut run);
-        let (total1, skipped1) = hawkeye_kernel::sched_stats::snapshot();
-        TargetRun {
-            quanta_total: total1 - total0,
-            quanta_skipped: skipped1 - skipped0,
-            ..run.finish(report)
-        }
+        let (total1, _) = hawkeye_kernel::sched_stats::snapshot();
+        TargetRun { quanta_total: total1 - total0, ..run.finish(report) }
     }
 }
 

@@ -101,15 +101,6 @@ pub struct KernelConfig {
     /// path is exact — every counter is bit-identical with it off — so
     /// this switch exists only for differential testing.
     pub fast_path: bool,
-    /// Enable event-skip scheduling: when every runnable process is
-    /// inside a provably uniform stretch of work (a long `Compute`, or a
-    /// resident huge-page `TouchRange` streak), the run loop charges
-    /// whole quanta in closed form instead of executing them, up to the
-    /// next interesting event (op transition, region boundary, policy
-    /// tick, metric sample, deadline). Exact — every counter, trace event
-    /// and report byte is identical with it off — so this switch exists
-    /// only for differential testing and A/B timing.
-    pub event_skip: bool,
     /// Simulated cores (1–8). At 1 (the default) the machine is the
     /// classic serial engine, bit-identical with every pre-multicore
     /// artifact. Above 1 the last two cores host khugepaged and the
@@ -135,7 +126,6 @@ impl KernelConfig {
             max_time: Cycles::from_secs(300.0),
             costs: CostModel::paper(),
             fast_path: true,
-            event_skip: true,
             cores: 1,
         }
     }

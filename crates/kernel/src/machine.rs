@@ -329,10 +329,7 @@ impl Machine {
         let mut cost = self.config.costs.fault_base_4k + reclaim_cost;
         self.metrics.charge_cpu(Subsystem::Fault, cost);
         if !a.was_zeroed {
-            self.pm.zero_block(a.pfn, Order(0));
-            self.stats.sync_zeroed_pages += 1;
-            cost += self.config.costs.zero_4k;
-            self.metrics.charge_cpu(Subsystem::Zero, self.config.costs.zero_4k);
+            cost += self.zero_sync(a.pfn, Order(0));
         }
         self.finish_map_base(pid, vpn, a.pfn);
         self.conc_app(pid, vpn.hvpn(), cost, true);
@@ -344,13 +341,21 @@ impl Machine {
         let mut cost = self.config.costs.fault_base_4k;
         self.metrics.charge_cpu(Subsystem::Fault, cost);
         if !self.pm.frame(pfn).is_zeroed() {
-            self.pm.zero_block(pfn, Order(0));
-            self.stats.sync_zeroed_pages += 1;
-            cost += self.config.costs.zero_4k;
-            self.metrics.charge_cpu(Subsystem::Zero, self.config.costs.zero_4k);
+            cost += self.zero_sync(pfn, Order(0));
         }
         self.finish_map_base(pid, vpn, pfn);
         self.conc_app(pid, vpn.hvpn(), cost, false);
+        cost
+    }
+
+    /// Zeroes a dirty block synchronously on the fault path: clears its
+    /// frames, counts them in `sync_zeroed_pages` and charges the zeroing
+    /// to the CPU's `Zero` ledger. Returns the cycles charged.
+    fn zero_sync(&mut self, pfn: Pfn, order: Order) -> Cycles {
+        self.pm.zero_block(pfn, order);
+        self.stats.sync_zeroed_pages += order.pages();
+        let cost = self.config.costs.zero_4k * order.pages();
+        self.metrics.charge_cpu(Subsystem::Zero, cost);
         cost
     }
 
@@ -397,10 +402,7 @@ impl Machine {
         let mut cost = self.config.costs.fault_base_2m;
         self.metrics.charge_cpu(Subsystem::Fault, cost);
         if !a.was_zeroed {
-            self.pm.zero_block(a.pfn, HUGE_ORDER);
-            self.stats.sync_zeroed_pages += 512;
-            cost += self.config.costs.zero_2m();
-            self.metrics.charge_cpu(Subsystem::Zero, self.config.costs.zero_2m());
+            cost += self.zero_sync(a.pfn, HUGE_ORDER);
         }
         self.install_huge_frames(pid, hvpn, a.pfn);
         let p = self.processes.get_mut(&pid).expect("faulting process exists");
@@ -430,10 +432,7 @@ impl Machine {
             self.config.costs.fault_base_4k + self.config.costs.cow_extra + reclaim_cost;
         self.metrics.charge_cpu(Subsystem::Fault, cost);
         if !a.was_zeroed {
-            self.pm.zero_block(a.pfn, Order(0));
-            self.stats.sync_zeroed_pages += 1;
-            cost += self.config.costs.zero_4k;
-            self.metrics.charge_cpu(Subsystem::Zero, self.config.costs.zero_4k);
+            cost += self.zero_sync(a.pfn, Order(0));
         }
         {
             let f = self.pm.frame_mut(a.pfn);

@@ -62,9 +62,8 @@ pub struct Simulator {
     next_tick: Cycles,
     next_sample: Cycles,
     hook: Option<Box<dyn AccessHook>>,
-    /// `(total, skipped)` scheduler quanta across this simulator's run
-    /// calls (see [`Simulator::quanta`]).
-    quanta: (u64, u64),
+    /// Scheduler quanta executed so far (see [`Simulator::quanta`]).
+    quanta: u64,
 }
 
 /// Per-quantum CPU-side cycle attribution, accumulated alongside `spent`
@@ -81,26 +80,6 @@ struct CpuLedger {
     fault: Cycles,
     /// Application compute: think time, in-core accesses, spin loops.
     idle: Cycles,
-}
-
-/// One process's closed-form share of each quantum in a skip batch.
-#[derive(Debug, Clone, Copy)]
-enum SkipArm {
-    /// Pending `Compute`: the whole quantum is idle compute.
-    Compute,
-    /// Pending huge-page `TouchRange` streak: `touches` per quantum at
-    /// `cost` cycles each, all guaranteed L1 hits inside the current
-    /// region (backed by `region_pfn`).
-    Range { touches: u64, cost: Cycles, write: bool, repeats: u32, region_pfn: Pfn },
-}
-
-/// A batch of quanta the event-skip scheduler charges without executing:
-/// `quanta` rounds in which every running process follows its
-/// [`SkipArm`].
-#[derive(Debug, Clone)]
-struct SkipPlan {
-    quanta: u64,
-    arms: Vec<(u32, SkipArm)>,
 }
 
 /// The page sequence a guaranteed-L1-hit streak covers.
@@ -125,16 +104,15 @@ impl Simulator {
             next_tick,
             next_sample,
             hook: None,
-            quanta: (0, 0),
+            quanta: 0,
         }
     }
 
-    /// `(total, skipped)` scheduler quanta this simulator's run calls
-    /// elapsed, and how many of those the event-skip scheduler charged in
-    /// closed form. Counted per instance, so concurrent simulators never
-    /// see each other's quanta. Rounds driven through
-    /// [`Simulator::round`] directly are not counted.
-    pub fn quanta(&self) -> (u64, u64) {
+    /// Scheduler quanta this simulator has executed: every round that
+    /// found a runnable process, whether driven by a run call or through
+    /// [`Simulator::round`] directly. Counted per instance, so concurrent
+    /// simulators never see each other's quanta.
+    pub fn quanta(&self) -> u64 {
         self.quanta
     }
 
@@ -208,64 +186,24 @@ impl Simulator {
     /// Runs for at most `dur` more simulated time.
     pub fn run_for(&mut self, dur: Cycles) -> Cycles {
         let deadline = self.machine.now() + dur;
-        self.run_while_deadline(move |m| m.now() < deadline, Some(deadline))
+        self.run_while(move |m| m.now() < deadline)
     }
 
     /// Runs while `keep_going(machine)` holds (checked before every
-    /// quantum, exactly as the plain tick loop would), every process is
-    /// not yet finished, and `max_time` has not elapsed.
-    pub fn run_while(&mut self, keep_going: impl FnMut(&Machine) -> bool) -> Cycles {
-        self.run_while_deadline(keep_going, None)
-    }
-
-    /// The run loop. After each executed round, the event-skip scheduler
-    /// plans the span to the next interesting event — the earliest op
-    /// transition, huge-region boundary, policy tick, metric sample,
-    /// `max_time` or `deadline` across all processes — and charges the
-    /// quanta in between in closed form instead of executing them.
-    /// `keep_going` is still evaluated at every quantum boundary against
-    /// exactly the machine state the tick loop would have shown it, so
-    /// predicates (even ones watching per-touch statistics) fire on the
-    /// identical quantum.
-    fn run_while_deadline(
-        &mut self,
-        mut keep_going: impl FnMut(&Machine) -> bool,
-        deadline: Option<Cycles>,
-    ) -> Cycles {
-        let mut total = 0u64;
-        let mut skipped = 0u64;
-        'run: while keep_going(&self.machine)
+    /// quantum), every process is not yet finished, and `max_time` has
+    /// not elapsed.
+    pub fn run_while(&mut self, mut keep_going: impl FnMut(&Machine) -> bool) -> Cycles {
+        while keep_going(&self.machine)
             && self.machine.now() < self.machine.config().max_time
             && self.round()
-        {
-            total += 1;
-            if !self.machine.config().event_skip {
-                continue;
-            }
-            // Re-plan after each batch: a batch usually ends at a cap
-            // (tick/sample), where only an executed round can make
-            // progress, so this inner loop terminates.
-            while let Some(plan) = self.skip_plan(deadline) {
-                for _ in 0..plan.quanta {
-                    if !keep_going(&self.machine) {
-                        break 'run;
-                    }
-                    self.apply_skip_quantum(&plan);
-                    total += 1;
-                    skipped += 1;
-                }
-            }
-        }
+        {}
         self.machine.mmu_mut().flush_metrics();
         self.machine.drain_concurrency();
-        self.quanta.0 += total;
-        self.quanta.1 += skipped;
-        crate::sched_stats::flush(total, skipped);
         self.machine.now()
     }
 
-    /// Executes one scheduler round. Returns false when no process is
-    /// runnable.
+    /// Executes one scheduler round and counts it as a quantum. Returns
+    /// false, counting nothing, when no process is runnable.
     pub fn round(&mut self) -> bool {
         let pids = self.machine.running_pids();
         if pids.is_empty() {
@@ -292,184 +230,9 @@ impl Simulator {
             self.next_sample += sample_period;
         }
         self.policy = Some(policy);
+        self.quanta += 1;
+        crate::sched_stats::count_quantum();
         true
-    }
-
-    /// Plans how many upcoming quanta can be charged in closed form, or
-    /// `None` when the very next quantum is interesting.
-    ///
-    /// A quantum is skippable when **every** running process would spend
-    /// it inside a provably uniform stretch of its pending op:
-    ///
-    /// * `Compute` with more than a quantum left — the round charges
-    ///   exactly one idle quantum and bumps progress; skippable while
-    ///   `left > j·quantum` for each skipped round `j`, hence
-    ///   `kₚ = (left − 1) / quantum`.
-    /// * A stride-1 `TouchRange` mid-way through a resident huge region —
-    ///   the round executes `t = ⌈quantum / c⌉` touches at `c = (access +
-    ///   think) · repeats` cycles each, all guaranteed L1 hits (the
-    ///   region's entry is resident and its accessed/dirty bits were set
-    ///   by this round's touches; a write over a zero-COW mapping or a
-    ///   region boundary would fault or walk, so those end the span).
-    ///   Skippable while the remaining in-region span keeps at least one
-    ///   touch for the resuming round: `kₚ = (T_rem − 1) / t` with
-    ///   `T_rem = min(pages − i, 512 − offset)`.
-    ///
-    /// The batch is further capped so no policy tick, metric sample,
-    /// `max_time` or `run_for` deadline falls inside it — those are the
-    /// "interesting events" the scheduler jumps between. Mid-batch,
-    /// nothing can evict the L1 entries the plans rely on (each process
-    /// only refreshes its own region's entry) and no process can finish,
-    /// fault or change a policy-visible structure, which is what makes
-    /// the closed forms exact.
-    fn skip_plan(&self, deadline: Option<Cycles>) -> Option<SkipPlan> {
-        let cfg = self.machine.config();
-        let quantum = cfg.quantum;
-        if quantum == Cycles::ZERO {
-            return None;
-        }
-        let now = self.machine.now();
-        // Full quanta that fit strictly before `next`.
-        let quanta_before = |next: Cycles| -> u64 {
-            let d = next.saturating_sub(now);
-            if d == Cycles::ZERO {
-                0
-            } else {
-                (d.get() - 1) / quantum.get()
-            }
-        };
-        let mut k = quanta_before(self.next_tick).min(quanta_before(cfg.max_time));
-        if cfg.sample_period > Cycles::ZERO {
-            k = k.min(quanta_before(self.next_sample));
-        }
-        if let Some(d) = deadline {
-            k = k.min(quanta_before(d));
-        }
-        if k == 0 {
-            return None;
-        }
-        let pids = self.machine.running_pids();
-        if pids.is_empty() {
-            return None;
-        }
-        let fast = self.fast_path_on();
-        let access = cfg.costs.access;
-        let mut arms = Vec::with_capacity(pids.len());
-        for pid in pids {
-            let p = self.machine.process(pid)?;
-            let cursor = p.pending.as_ref()?;
-            match &cursor.op {
-                MemOp::Compute { cycles } => {
-                    let left = cycles.saturating_sub(cursor.progress);
-                    k = k.min(left.saturating_sub(1) / quantum.get());
-                    arms.push((pid, SkipArm::Compute));
-                }
-                MemOp::TouchRange { start, pages, write, think, stride, repeats } => {
-                    if !fast || (*stride).max(1) != 1 {
-                        return None;
-                    }
-                    let i = cursor.progress;
-                    if i == 0 {
-                        // The resuming round opens with a full-model
-                        // touch that may fault.
-                        return None;
-                    }
-                    let vpn = Vpn(start.0 + i);
-                    let off = vpn.huge_offset();
-                    if off == 0 {
-                        return None;
-                    }
-                    let repeats = (*repeats).max(1);
-                    let c = (access + Cycles::new(*think as u64)) * repeats as u64;
-                    if c == Cycles::ZERO {
-                        return None;
-                    }
-                    let t = quantum.get().div_ceil(c.get());
-                    let t_rem = (pages - i).min(512 - off);
-                    if t_rem <= t {
-                        return None;
-                    }
-                    let tr = p.space().translate(vpn)?;
-                    if tr.size != PageSize::Huge || (*write && tr.zero_cow) {
-                        return None;
-                    }
-                    if !self.machine.mmu().probe_l1(pid, vpn, PageSize::Huge) {
-                        return None;
-                    }
-                    k = k.min((t_rem - 1) / t);
-                    arms.push((
-                        pid,
-                        SkipArm::Range {
-                            touches: t,
-                            cost: c,
-                            write: *write,
-                            repeats,
-                            region_pfn: Pfn(tr.pfn.0 - off),
-                        },
-                    ));
-                }
-                _ => return None,
-            }
-        }
-        if k == 0 {
-            return None;
-        }
-        Some(SkipPlan { quanta: k, arms })
-    }
-
-    /// Charges one planned quantum without executing it. Mirrors
-    /// [`Simulator::step_process`]'s per-round effects exactly, process
-    /// by process in scheduling order, then advances the clock: ledger
-    /// flush (all idle — skipped quanta walk and fault nothing),
-    /// `cpu_time`, `CPU_CLK_UNHALTED`, TLB hit streaks, dirt draws and
-    /// frame contents for writes, touch statistics, and op progress.
-    fn apply_skip_quantum(&mut self, plan: &SkipPlan) {
-        let quantum = self.machine.config().quantum;
-        for (pid, arm) in &plan.arms {
-            let pid = *pid;
-            match arm {
-                SkipArm::Compute => {
-                    self.machine.metrics().charge_cpu(Subsystem::Idle, quantum);
-                    let p = self.machine.process_mut(pid).expect("planned process runs");
-                    p.pending.as_mut().expect("pending compute").progress += quantum.get();
-                    p.charge(quantum);
-                    self.machine.record_unhalted(pid, quantum);
-                }
-                SkipArm::Range { touches, cost, write, repeats, region_pfn } => {
-                    let spent = *cost * *touches;
-                    self.machine.metrics().charge_cpu(Subsystem::Idle, spent);
-                    {
-                        let (p, mmu, pm, _) =
-                            self.machine.touch_parts(pid).expect("planned process runs");
-                        let cursor = p.pending.as_mut().expect("pending range");
-                        let start = match &cursor.op {
-                            MemOp::TouchRange { start, .. } => *start,
-                            _ => unreachable!("planned op is a range"),
-                        };
-                        let vpn = Vpn(start.0 + cursor.progress);
-                        cursor.progress += *touches;
-                        assert!(
-                            mmu.record_l1_hits(pid, vpn, PageSize::Huge, *touches),
-                            "planned streak entry evicted mid-skip"
-                        );
-                        if *write {
-                            let off = vpn.huge_offset();
-                            for j in 0..*touches {
-                                let dirt = p.dirt_offset();
-                                pm.frame_mut(Pfn(region_pfn.0 + off + j))
-                                    .set_content(hawkeye_mem::PageContent::non_zero(dirt));
-                            }
-                        }
-                        let st = p.stats_mut();
-                        st.touches += *touches;
-                        st.accesses += *repeats as u64 * *touches;
-                        p.charge(spent);
-                    }
-                    self.machine.record_unhalted(pid, spent);
-                }
-            }
-        }
-        self.machine.advance(quantum);
     }
 
     /// Runs one process for (up to) a quantum of its own CPU.
@@ -1034,6 +797,19 @@ mod tests {
         let t = sim.run_for(Cycles::from_millis(50));
         assert!(t >= Cycles::from_millis(50));
         assert!(t < Cycles::from_millis(60));
+    }
+
+    #[test]
+    fn direct_rounds_are_counted_as_quanta() {
+        let mut sim = Simulator::new(KernelConfig::small(), Box::new(BasePagesOnly));
+        sim.spawn(script("spin", vec![MemOp::Compute { cycles: u64::MAX / 2 }]));
+        assert!(sim.round() && sim.round() && sim.round());
+        assert_eq!(sim.quanta(), 3);
+        sim.run_for(Cycles::from_millis(10));
+        assert_eq!(sim.quanta(), 8, "2 ms quanta over 10 ms");
+        let mut idle = Simulator::new(KernelConfig::small(), Box::new(BasePagesOnly));
+        assert!(!idle.round(), "no runnable process");
+        assert_eq!(idle.quanta(), 0);
     }
 
     #[test]

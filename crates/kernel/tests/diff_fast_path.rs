@@ -304,8 +304,9 @@ fn zero_cow_write_faults_count_in_both_counters() {
 }
 
 // ---------------------------------------------------------------------------
-// Event-skip differential: the closed-form quantum jumper vs. the serial
-// tick-loop reference, across every policy the evaluation compares.
+// Nine-policy differential: the fast path vs. the per-access reference,
+// comparing trace journals and metric registries as well as every
+// counter, across every policy the evaluation compares.
 // ---------------------------------------------------------------------------
 
 use hawkeye_core::{HawkEye, HawkEyeConfig};
@@ -330,25 +331,24 @@ fn nine_policies(i: usize) -> (&'static str, Box<dyn HugePagePolicy>) {
     }
 }
 
-/// [`MixWorkload`] with skippable stretches spliced in: long `Compute`
-/// ops (the Compute skip arm) and think-free stride-1 streams over a
-/// resident region (the TouchRange skip arm), so the event-skip
-/// scheduler actually jumps quanta instead of trivially matching the
-/// reference by never engaging.
-struct SkipMixWorkload {
+/// [`MixWorkload`] with long uniform stretches spliced in: `Compute` ops
+/// spanning many quanta and think-free stride-1 streams over a resident
+/// region, whose guaranteed-hit streaks the fast path charges in closed
+/// form and cuts at quantum boundaries.
+struct StreakMixWorkload {
     inner: MixWorkload,
     extra: Vec<MemOp>,
     draining: bool,
 }
 
-impl SkipMixWorkload {
+impl StreakMixWorkload {
     fn new(seed: u64) -> Self {
         let extra = vec![
             // Long pure-compute stretch: many whole quanta with nothing
             // interesting in them.
             MemOp::Compute { cycles: 80_000_000 },
-            // Think-free re-stream of the (resident) region: uniform
-            // L1-hit streak spanning many quanta.
+            // Think-free re-stream of the (resident) region: L1-hit
+            // streaks spanning many quanta.
             MemOp::TouchRange {
                 start: Vpn(0),
                 pages: 16 * 512,
@@ -359,13 +359,13 @@ impl SkipMixWorkload {
             },
             MemOp::Compute { cycles: 25_000_000 },
         ];
-        SkipMixWorkload { inner: MixWorkload::new(seed), extra, draining: false }
+        StreakMixWorkload { inner: MixWorkload::new(seed), extra, draining: false }
     }
 }
 
-impl Workload for SkipMixWorkload {
+impl Workload for StreakMixWorkload {
     fn name(&self) -> &str {
-        "skip-mix"
+        "streak-mix"
     }
 
     fn next_op(&mut self) -> Option<MemOp> {
@@ -385,18 +385,18 @@ impl Workload for SkipMixWorkload {
 }
 
 /// Runs one policy under a trace scope and a metrics-registry scope,
-/// with the event-skip scheduler on or off.
+/// with the fast path on or off.
 fn run_instrumented(
-    event_skip: bool,
+    fast_path: bool,
     policy: Box<dyn HugePagePolicy>,
     seed: u64,
 ) -> (Simulator, hawkeye_trace::Journal, String) {
     hawkeye_metrics::registry::scope::begin();
     hawkeye_trace::scope::begin(1 << 18);
     let mut cfg = KernelConfig::small();
-    cfg.event_skip = event_skip;
+    cfg.fast_path = fast_path;
     let mut sim = Simulator::new(cfg, policy);
-    sim.spawn(Box::new(SkipMixWorkload::new(seed)));
+    sim.spawn(Box::new(StreakMixWorkload::new(seed)));
     sim.run();
     let journal = hawkeye_trace::scope::end().expect("trace scope active");
     let registry = hawkeye_metrics::registry::scope::end().expect("registry scope active");
@@ -406,7 +406,7 @@ fn run_instrumented(
 }
 
 #[test]
-fn event_skip_matches_tick_loop_for_all_nine_policies() {
+fn fast_path_matches_reference_for_all_nine_policies() {
     for i in 0..9 {
         let (name, policy_on) = nine_policies(i);
         let (_, policy_off) = nine_policies(i);
@@ -425,20 +425,4 @@ fn event_skip_matches_tick_loop_for_all_nine_policies() {
         assert_eq!(reg_on, reg_off, "{name}: metrics registries differ");
         assert_runs_identical(sim_on, sim_off);
     }
-}
-
-#[test]
-fn event_skip_actually_skips_quanta_here() {
-    // Guard against the differential above passing vacuously: on this
-    // workload the skip arms must engage. Counter-based (this
-    // simulator's own quanta), so the assertion is deterministic.
-    let (_, policy) = nine_policies(6);
-    let (sim, _, _) = run_instrumented(true, policy, 7);
-    assert!(sim.machine().now() > Cycles::ZERO);
-    let (total, skipped) = sim.quanta();
-    assert!(total > 0, "run recorded no quanta");
-    assert!(
-        skipped > 0,
-        "event-skip never engaged on the skip-mix workload ({total} quanta, 0 skipped)"
-    );
 }

@@ -5,10 +5,9 @@
 //! # What is gated and what is advisory
 //!
 //! The gate only ever reads **deterministic** quantities: scheduler
-//! quanta (total work and closed-form-skipped), and the REPORT.md check
-//! tally. Host wall-clock is recorded — total seconds plus an FNV-1a
-//! digest of the per-target timings — but quarantined exactly like
-//! WALLCLOCK.md: rendered as advisory columns, never a gate input, so
+//! quanta per target and the REPORT.md check tally. Host wall-clock is
+//! recorded as the suite's total seconds but quarantined exactly like
+//! WALLCLOCK.md: rendered as an advisory column, never a gate input, so
 //! the gate cannot flake on a slow host.
 //!
 //! # Versioning policy
@@ -16,14 +15,19 @@
 //! [`LEDGER_SCHEMA_VERSION`] is stamped into every `BENCH_<n>.json`.
 //! Comparing runs across schema versions is refused loudly (a gate
 //! failure, not a silent skip): a schema bump must land together with a
-//! reseeded baseline in the same change — see DESIGN.md §16.
+//! reseeded baseline in the same change — see DESIGN.md §16. Entries of
+//! an older schema still load as history: v1 entries carry two more
+//! fields (a per-target count of quanta charged by the since-removed
+//! event-skip scheduler, and an advisory wall-clock digest), which the
+//! parser ignores, and their `quanta_total` missed rounds driven outside
+//! a run call (the virtualized targets' guests).
 
 use hawkeye_metrics::json::{self, Json};
 
 use crate::doc::{arr_field, f64_field, str_field, u64_field};
 
 /// Schema version stamped into every ledger entry.
-pub const LEDGER_SCHEMA_VERSION: u64 = 1;
+pub const LEDGER_SCHEMA_VERSION: u64 = 2;
 
 /// Per-target deterministic work counters for one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,19 +36,6 @@ pub struct LedgerTarget {
     pub name: String,
     /// Scheduler quanta executed (simulated work, deterministic).
     pub quanta_total: u64,
-    /// Quanta charged in closed form by the event-skip scheduler.
-    pub quanta_skipped: u64,
-}
-
-impl LedgerTarget {
-    /// Fraction of quanta charged in closed form.
-    pub fn skip_ratio(&self) -> f64 {
-        if self.quanta_total == 0 {
-            0.0
-        } else {
-            self.quanta_skipped as f64 / self.quanta_total as f64
-        }
-    }
 }
 
 /// One `BENCH_<n>.json` entry.
@@ -62,29 +53,12 @@ pub struct LedgerRun {
     pub targets: Vec<LedgerTarget>,
     /// Advisory: total host wall-clock for the suite, seconds.
     pub wall_total_secs: f64,
-    /// Advisory: FNV-1a 64 digest (hex) of per-target wall timings.
-    pub wall_digest: String,
 }
 
 impl LedgerRun {
     /// Sum of `quanta_total` over all targets.
     pub fn quanta_total(&self) -> u64 {
         self.targets.iter().map(|t| t.quanta_total).sum()
-    }
-
-    /// Sum of `quanta_skipped` over all targets.
-    pub fn quanta_skipped(&self) -> u64 {
-        self.targets.iter().map(|t| t.quanta_skipped).sum()
-    }
-
-    /// Suite-wide closed-form skip ratio.
-    pub fn skip_ratio(&self) -> f64 {
-        let total = self.quanta_total();
-        if total == 0 {
-            0.0
-        } else {
-            self.quanta_skipped() as f64 / total as f64
-        }
     }
 
     /// The `BENCH_<n>.json` document, in [`LedgerRun::parse`]'s key order.
@@ -96,7 +70,6 @@ impl LedgerRun {
                 Json::obj(vec![
                     ("name", Json::str(t.name.clone())),
                     ("quanta_total", Json::int(t.quanta_total)),
-                    ("quanta_skipped", Json::int(t.quanta_skipped)),
                 ])
             })
             .collect();
@@ -107,12 +80,12 @@ impl LedgerRun {
             ("checks_total", Json::int(self.checks_total)),
             ("targets", Json::Arr(targets)),
             ("wall_total_secs", Json::num(self.wall_total_secs)),
-            ("wall_digest", Json::str(self.wall_digest.clone())),
         ])
     }
 
     /// Parses one `BENCH_<n>.json` entry — the exact inverse of
-    /// [`LedgerRun::to_json`]. A missing field is an error.
+    /// [`LedgerRun::to_json`]. A missing field is an error; fields this
+    /// schema no longer writes are ignored, so older entries load.
     pub fn parse(text: &str) -> Result<LedgerRun, String> {
         let v = json::parse(text)?;
         let ctx = "ledger run";
@@ -126,23 +99,11 @@ impl LedgerRun {
                 Ok(LedgerTarget {
                     name: str_field(t, "name", ctx)?,
                     quanta_total: u64_field(t, "quanta_total", ctx)?,
-                    quanta_skipped: u64_field(t, "quanta_skipped", ctx)?,
                 })
             })?,
             wall_total_secs: f64_field(&v, "wall_total_secs", ctx)?,
-            wall_digest: str_field(&v, "wall_digest", ctx)?,
         })
     }
-}
-
-/// FNV-1a 64-bit hash, used for the advisory wall-clock digest.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Allowed relative growth in a target's `quanta_total` before the gate
@@ -150,8 +111,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// change means the model changed; the slack only exists so deliberate
 /// small reworkings don't force a baseline reseed.
 const QUANTA_SLACK: f64 = 0.05;
-/// Allowed drop in skip ratio (percentage points / 100).
-const SKIP_SLACK: f64 = 0.02;
 
 /// The regression gate: compares the latest run against the previous
 /// one and returns one message per violation (empty = pass). Only
@@ -194,14 +153,6 @@ pub fn regressions(prev: &LedgerRun, cur: &LedgerRun) -> Vec<String> {
                 100.0 * QUANTA_SLACK
             ));
         }
-        if pt.skip_ratio() - ct.skip_ratio() > SKIP_SLACK {
-            out.push(format!(
-                "`{}`: event-skip ratio {:.3} -> {:.3} — closed-form scheduling regressed",
-                pt.name,
-                pt.skip_ratio(),
-                ct.skip_ratio()
-            ));
-        }
     }
     out
 }
@@ -229,12 +180,8 @@ pub fn trend_md(runs: &[LedgerRun]) -> String {
     }
 
     out.push_str("## Run-over-run\n\n");
-    out.push_str(
-        "| Run | Targets | Σ quanta | Δ quanta | Skip ratio | Checks | Wall s (advisory) |\n",
-    );
-    out.push_str(
-        "|-----|---------|----------|----------|------------|--------|-------------------|\n",
-    );
+    out.push_str("| Run | Targets | Σ quanta | Δ quanta | Checks | Wall s (advisory) |\n");
+    out.push_str("|-----|---------|----------|----------|--------|-------------------|\n");
     let mut prev: Option<&LedgerRun> = None;
     for r in runs {
         let delta = match prev {
@@ -245,12 +192,11 @@ pub fn trend_md(runs: &[LedgerRun]) -> String {
             _ => "n/a".to_string(),
         };
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {:.3} | {}/{} | {} |\n",
+            "| {} | {} | {} | {} | {}/{} | {} |\n",
             r.run,
             r.targets.len(),
             r.quanta_total(),
             delta,
-            r.skip_ratio(),
             r.checks_passed,
             r.checks_total,
             f1(r.wall_total_secs)
@@ -262,29 +208,19 @@ pub fn trend_md(runs: &[LedgerRun]) -> String {
     if runs.len() >= 2 {
         let (p, c) = (&runs[runs.len() - 2], &runs[runs.len() - 1]);
         out.push_str(&format!("## Per-target: run {} vs run {}\n\n", c.run, p.run));
-        out.push_str("| Target | Quanta prev | Quanta cur | Δ | Skip prev | Skip cur |\n");
-        out.push_str("|--------|-------------|------------|---|-----------|----------|\n");
+        out.push_str("| Target | Quanta prev | Quanta cur | Δ |\n");
+        out.push_str("|--------|-------------|------------|---|\n");
         for ct in &c.targets {
-            let (qp, sp) = match p.targets.iter().find(|t| t.name == ct.name) {
-                Some(pt) => (pt.quanta_total.to_string(), format!("{:.3}", pt.skip_ratio())),
-                None => ("new".to_string(), "n/a".to_string()),
-            };
-            let delta = match p.targets.iter().find(|t| t.name == ct.name) {
+            let pt = p.targets.iter().find(|t| t.name == ct.name);
+            let qp = pt.map_or("new".to_string(), |pt| pt.quanta_total.to_string());
+            let delta = match pt {
                 Some(pt) if pt.quanta_total > 0 => format!(
                     "{:+.2}%",
                     100.0 * (ct.quanta_total as f64 / pt.quanta_total as f64 - 1.0)
                 ),
                 _ => "n/a".to_string(),
             };
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {:.3} |\n",
-                ct.name,
-                qp,
-                ct.quanta_total,
-                delta,
-                sp,
-                ct.skip_ratio()
-            ));
+            out.push_str(&format!("| {} | {} | {} | {} |\n", ct.name, qp, ct.quanta_total, delta));
         }
         out.push('\n');
         let regs = regressions(p, c);
@@ -309,7 +245,7 @@ pub fn trend_md(runs: &[LedgerRun]) -> String {
 mod tests {
     use super::*;
 
-    fn run(n: u64, quanta: &[(u64, u64)], checks: (u64, u64)) -> LedgerRun {
+    fn run(n: u64, quanta: &[u64], checks: (u64, u64)) -> LedgerRun {
         LedgerRun {
             schema_version: LEDGER_SCHEMA_VERSION,
             run: n,
@@ -318,54 +254,62 @@ mod tests {
             targets: quanta
                 .iter()
                 .enumerate()
-                .map(|(i, &(t, s))| LedgerTarget {
-                    name: format!("t{i}"),
-                    quanta_total: t,
-                    quanta_skipped: s,
-                })
+                .map(|(i, &t)| LedgerTarget { name: format!("t{i}"), quanta_total: t })
                 .collect(),
             wall_total_secs: 70.0 + n as f64,
-            wall_digest: format!("{:016x}", fnv1a(&n.to_le_bytes())),
         }
     }
 
     #[test]
     fn ledger_entry_round_trips_through_writer_and_parser() {
-        let mut entry = run(9, &[(1000, 800), (5000, 4500)], (1, 2));
+        let mut entry = run(9, &[1000, 5000], (1, 2));
         entry.wall_total_secs = 4.25;
         let text = entry.to_json().to_string();
-        assert!(text.starts_with(r#"{"schema_version":1,"run":9,"checks_passed":1,"#), "{text}");
+        assert!(text.starts_with(r#"{"schema_version":2,"run":9,"checks_passed":1,"#), "{text}");
         let back = LedgerRun::parse(&text).expect("parse back");
         assert_eq!(back, entry, "writer and parser are exact inverses");
         assert_eq!(back.to_json().to_string(), text);
-        let err = LedgerRun::parse(r#"{"schema_version":1}"#).expect_err("missing fields");
+        let err = LedgerRun::parse(r#"{"schema_version":2}"#).expect_err("missing fields");
         assert!(err.contains("\"run\""), "{err}");
     }
 
     #[test]
+    fn v1_entries_load_as_history() {
+        // The committed v1 baseline, as the ledger directory holds it.
+        let v1 = include_str!("../../../bench-ledger/BENCH_10.json");
+        let old = LedgerRun::parse(v1).expect("v1 entry loads");
+        assert_eq!((old.schema_version, old.run, old.targets.len()), (1, 10, 22));
+        assert_eq!(old.targets[0].name, "table1_fault_latency");
+        assert_eq!(old.targets[0].quanta_total, 4211);
+        let cur = run(11, &[4211], (85, 85));
+        let regs = regressions(&old, &cur);
+        assert_eq!(regs.len(), 1, "{regs:?}");
+        assert!(regs[0].contains("v1 -> v2"), "{regs:?}");
+        assert!(trend_md(&[old, cur]).contains("| 10 | 22 | 277126 |"));
+    }
+
+    #[test]
     fn identical_counters_pass_the_gate() {
-        let a = run(9, &[(1000, 800), (5000, 4500)], (67, 67));
-        let mut b = run(10, &[(1000, 800), (5000, 4500)], (67, 67));
+        let a = run(9, &[1000, 5000], (67, 67));
+        let mut b = run(10, &[1000, 5000], (67, 67));
         b.wall_total_secs = 500.0; // wall-clock is advisory: never gated
-        b.wall_digest = "ffffffffffffffff".into();
         assert!(regressions(&a, &b).is_empty());
     }
 
     #[test]
     fn injected_counter_regression_fails_the_gate() {
-        let a = run(9, &[(1000, 800), (5000, 4500)], (67, 67));
-        // +20% quanta on one target, skip ratio collapse on the other.
-        let b = run(10, &[(1200, 960), (5000, 2000)], (67, 67));
+        let a = run(9, &[1000, 5000], (67, 67));
+        // +20% quanta on one target; +4% on the other stays in slack.
+        let b = run(10, &[1200, 5200], (67, 67));
         let regs = regressions(&a, &b);
-        assert_eq!(regs.len(), 2, "{regs:?}");
-        assert!(regs[0].contains("quanta_total"));
-        assert!(regs[1].contains("event-skip ratio"));
+        assert_eq!(regs.len(), 1, "{regs:?}");
+        assert!(regs[0].contains("`t0`: quanta_total 1000 -> 1200"), "{regs:?}");
     }
 
     #[test]
     fn check_and_target_regressions_fail_the_gate() {
-        let a = run(9, &[(1000, 800), (5000, 4500)], (67, 67));
-        let b = run(10, &[(1000, 800)], (66, 67));
+        let a = run(9, &[1000, 5000], (67, 67));
+        let b = run(10, &[1000], (66, 67));
         let regs = regressions(&a, &b);
         assert!(regs.iter().any(|r| r.contains("66/67")), "{regs:?}");
         assert!(regs.iter().any(|r| r.contains("fell 67 -> 66")), "{regs:?}");
@@ -374,8 +318,8 @@ mod tests {
 
     #[test]
     fn schema_mismatch_refuses_loudly() {
-        let a = run(9, &[(1000, 800)], (67, 67));
-        let mut b = run(10, &[(1000, 800)], (67, 67));
+        let a = run(9, &[1000], (67, 67));
+        let mut b = run(10, &[1000], (67, 67));
         b.schema_version += 1;
         let regs = regressions(&a, &b);
         assert_eq!(regs.len(), 1);
@@ -384,32 +328,24 @@ mod tests {
 
     #[test]
     fn trend_md_renders_deltas_and_the_gate_verdict() {
-        let runs = vec![
-            run(9, &[(1000, 800), (5000, 4500)], (67, 67)),
-            run(10, &[(1010, 810), (5000, 4500)], (67, 67)),
-        ];
+        let runs = vec![run(9, &[1000, 5000], (67, 67)), run(10, &[1010, 5000], (67, 67))];
         let md = trend_md(&runs);
         assert!(md.contains("# Perf trajectory"));
         assert!(md.contains("| 9 |"));
         assert!(md.contains("+0.17%"), "run-over-run delta rendered:\n{md}");
         assert!(md.contains("## Per-target: run 10 vs run 9"));
+        assert!(md.contains("| t0 | 1000 | 1010 | +1.00% |"), "{md}");
         assert!(md.contains("Regression gate: **pass**"));
         assert_eq!(md, trend_md(&runs.clone()), "pure function");
         // And a failing pair renders FAIL with the messages inline.
-        let bad = vec![runs[0].clone(), run(10, &[(2000, 800), (5000, 4500)], (67, 67))];
+        let bad = vec![runs[0].clone(), run(10, &[2000, 5000], (67, 67))];
         assert!(trend_md(&bad).contains("Regression gate: **FAIL**"));
     }
 
     #[test]
     fn empty_and_single_run_ledgers_render() {
         assert!(trend_md(&[]).contains("No runs recorded"));
-        let one = vec![run(9, &[(10, 5)], (67, 67))];
+        let one = vec![run(9, &[10], (67, 67))];
         assert!(trend_md(&one).contains("Single run"));
-    }
-
-    #[test]
-    fn fnv1a_is_the_reference_hash() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

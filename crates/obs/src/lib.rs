@@ -47,6 +47,6 @@ pub mod slo;
 pub use alerts::alerts_md;
 pub use anomaly::{ewma_anomalies, Anomaly};
 pub use doc::{Alert, AlertKind, CohortObs, ObsDoc, RuleDoc, OBS_SCHEMA_VERSION};
-pub use ledger::{fnv1a, regressions, trend_md, LedgerRun, LedgerTarget, LEDGER_SCHEMA_VERSION};
+pub use ledger::{regressions, trend_md, LedgerRun, LedgerTarget, LEDGER_SCHEMA_VERSION};
 pub use series::{finalize, CohortAcc, CohortSeries, EpochAcc, EpochPoint};
 pub use slo::{default_rules, evaluate, slo_trace_records, BurnRule, Direction, SeriesKey};

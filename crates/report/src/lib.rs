@@ -199,8 +199,6 @@ pub struct TargetWall {
     pub phases: Vec<(&'static str, f64)>,
     /// Scheduler quanta elapsed across the target's simulations.
     pub quanta_total: u64,
-    /// Quanta the event-skip scheduler charged in closed form.
-    pub quanta_skipped: u64,
 }
 
 impl TargetWall {
@@ -244,7 +242,6 @@ pub fn run_suite(
             total_secs: t0.elapsed().as_secs_f64(),
             phases: run.phases.iter().copied().chain(writes).collect(),
             quanta_total: run.quanta_total,
-            quanta_skipped: run.quanta_skipped,
         });
     }
     if failed.is_empty() {
@@ -255,10 +252,9 @@ pub fn run_suite(
 }
 
 /// Renders the suite wall-clock table (WALLCLOCK.md): per-target totals,
-/// the phase breakdown, and event-skip efficiency, slowest
-/// first, with a suite-total row. Host timing lives only here — never in
-/// REPORT.md — so the table can change run to run while the report stays
-/// byte-identical.
+/// the phase breakdown and scheduler quanta, slowest first, with a
+/// suite-total row. Host timing lives only here — never in REPORT.md — so
+/// the table can change run to run while the report stays byte-identical.
 pub fn wallclock_table(walls: &[TargetWall], threads: usize) -> String {
     let mut out = String::new();
     out.push_str("# Suite wall-clock\n\n");
@@ -267,49 +263,33 @@ pub fn wallclock_table(walls: &[TargetWall], threads: usize) -> String {
          from a monotonic clock kept out of every deterministic artifact \
          (see EXPERIMENTS.md \"Suite wall-clock\"). Phases: `engine` is \
          the scenario-engine run, `summary` and `trace` are the artifact \
-         dumps; the remainder is table formatting and load-back. \
-         `skip%` is the fraction of scheduler quanta the event-skip \
-         scheduler charged in closed form instead of executing.\n\n",
+         dumps; the remainder is table formatting and load-back.\n\n",
     ));
     out.push_str(
-        "| Target | total (s) | engine (s) | summary (s) | trace (s) | quanta | skip% |\n\
-         |---|---:|---:|---:|---:|---:|---:|\n",
+        "| Target | total (s) | engine (s) | summary (s) | trace (s) | quanta |\n\
+         |---|---:|---:|---:|---:|---:|\n",
     );
     let mut order: Vec<&TargetWall> = walls.iter().collect();
     order.sort_by(|a, b| b.total_secs.total_cmp(&a.total_secs));
     for w in order {
-        let skip_pct = if w.quanta_total == 0 {
-            "—".to_string()
-        } else {
-            format!("{:.1}%", w.quanta_skipped as f64 / w.quanta_total as f64 * 100.0)
-        };
         out.push_str(&format!(
-            "| `{}` | {:.2} | {:.2} | {:.2} | {:.2} | {} | {} |\n",
+            "| `{}` | {:.2} | {:.2} | {:.2} | {:.2} | {} |\n",
             w.name,
             w.total_secs,
             w.phase_secs("engine"),
             w.phase_secs("summary_write"),
             w.phase_secs("trace_write"),
             w.quanta_total,
-            skip_pct,
         ));
     }
     let total: f64 = walls.iter().map(|w| w.total_secs).sum();
-    let qt: u64 = walls.iter().map(|w| w.quanta_total).sum();
-    let qs: u64 = walls.iter().map(|w| w.quanta_skipped).sum();
-    let skip_pct = if qt == 0 {
-        "—".to_string()
-    } else {
-        format!("{:.1}%", qs as f64 / qt as f64 * 100.0)
-    };
     out.push_str(&format!(
-        "| **suite total** | **{:.2}** | {:.2} | {:.2} | {:.2} | {} | {} |\n",
+        "| **suite total** | **{:.2}** | {:.2} | {:.2} | {:.2} | {} |\n",
         total,
         walls.iter().map(|w| w.phase_secs("engine")).sum::<f64>(),
         walls.iter().map(|w| w.phase_secs("summary_write")).sum::<f64>(),
         walls.iter().map(|w| w.phase_secs("trace_write")).sum::<f64>(),
-        qt,
-        skip_pct,
+        walls.iter().map(|w| w.quanta_total).sum::<u64>(),
     ));
     out
 }
@@ -500,12 +480,12 @@ pub fn failures(sections: &[Section], slack: f64) -> Vec<String> {
 
 // ---- perf-trajectory ledger ---------------------------------------------
 
-use hawkeye_obs::{fnv1a, LedgerRun, LedgerTarget, LEDGER_SCHEMA_VERSION};
+use hawkeye_obs::{LedgerRun, LedgerTarget, LEDGER_SCHEMA_VERSION};
 
 /// Builds one perf-trajectory ledger entry ([`LedgerRun`]) from this
 /// run's wall records and evaluated sections. Gated fields (quanta,
-/// check tally) are deterministic; the wall-clock total and its FNV-1a
-/// digest are quarantined advisory columns, mirroring WALLCLOCK.md.
+/// check tally) are deterministic; the wall-clock total is a quarantined
+/// advisory column, mirroring WALLCLOCK.md.
 pub fn ledger_entry(run: u64, walls: &[TargetWall], sections: &[Section], slack: f64) -> LedgerRun {
     let (mut passed, mut total) = (0u64, 0u64);
     for s in sections {
@@ -515,23 +495,15 @@ pub fn ledger_entry(run: u64, walls: &[TargetWall], sections: &[Section], slack:
     }
     let targets = walls
         .iter()
-        .map(|w| LedgerTarget {
-            name: w.name.to_string(),
-            quanta_total: w.quanta_total,
-            quanta_skipped: w.quanta_skipped,
-        })
+        .map(|w| LedgerTarget { name: w.name.to_string(), quanta_total: w.quanta_total })
         .collect();
-    let wall_total_secs = walls.iter().map(|w| w.total_secs).sum();
-    let canonical: String =
-        walls.iter().map(|w| format!("{}:{:.6};", w.name, w.total_secs)).collect();
     LedgerRun {
         schema_version: LEDGER_SCHEMA_VERSION,
         run,
         checks_passed: passed,
         checks_total: total,
         targets,
-        wall_total_secs,
-        wall_digest: format!("{:016x}", fnv1a(canonical.as_bytes())),
+        wall_total_secs: walls.iter().map(|w| w.total_secs).sum(),
     }
 }
 
@@ -666,20 +638,8 @@ mod tests {
     #[test]
     fn ledger_entry_tallies_checks_quanta_and_wall_time() {
         let walls = vec![
-            TargetWall {
-                name: "a",
-                total_secs: 1.5,
-                phases: Vec::new(),
-                quanta_total: 1000,
-                quanta_skipped: 800,
-            },
-            TargetWall {
-                name: "b",
-                total_secs: 2.5,
-                phases: Vec::new(),
-                quanta_total: 5000,
-                quanta_skipped: 4500,
-            },
+            TargetWall { name: "a", total_secs: 1.5, phases: Vec::new(), quanta_total: 1000 },
+            TargetWall { name: "b", total_secs: 2.5, phases: Vec::new(), quanta_total: 5000 },
         ];
         let sections = vec![Section {
             target: "a",
@@ -698,7 +658,6 @@ mod tests {
         assert_eq!((entry.checks_passed, entry.checks_total), (1, 2));
         assert_eq!(entry.quanta_total(), 6000);
         assert_eq!(entry.wall_total_secs, 4.0);
-        assert_eq!(entry.wall_digest.len(), 16, "fnv1a hex");
     }
 
     fn first(_: &mut Run) -> hawkeye_bench::Report {
@@ -750,7 +709,6 @@ mod tests {
                 checks_total: 1,
                 targets: Vec::new(),
                 wall_total_secs: 0.0,
-                wall_digest: "0".repeat(16),
             };
             r.to_json().to_string()
         };

@@ -6,7 +6,7 @@
 //!                [--only a,b,...] [--dir DIR]
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use hawkeye_report::paper;
@@ -63,55 +63,84 @@ fn usage() -> &'static str {
      \x20      is written\n"
 }
 
+/// The parsed command line.
+struct Opts {
+    check: bool,
+    run: bool,
+    threads: Option<usize>,
+    slack: f64,
+    only: Option<Vec<String>>,
+    dir: Option<PathBuf>,
+    trend: bool,
+    ledger_dir: Option<PathBuf>,
+}
+
+/// Writes one output file, creating its directory first. The error is
+/// the `could not write <path>: <cause>` message.
+fn write_out(path: &Path, text: &str) -> Result<(), String> {
+    let dir = path.parent().unwrap_or(Path::new("."));
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(path, text))
+        .map_err(|e| format!("could not write {}: {e}", path.display()))
+}
+
+/// Reports a pipeline error under `gate` and returns its exit code, 3.
+fn fail(gate: &str, msg: &str) -> ExitCode {
+    eprintln!("hawkeye-report: gate={gate}: {msg}");
+    ExitCode::from(3)
+}
+
 fn main() -> ExitCode {
-    let mut check = false;
-    let mut run = true;
-    let mut threads: Option<usize> = None;
-    let mut slack = 0.0f64;
-    let mut only: Option<Vec<String>> = None;
-    let mut dir: Option<PathBuf> = None;
-    let mut trend = false;
-    let mut ledger_dir: Option<PathBuf> = None;
+    let mut o = Opts {
+        check: false,
+        run: true,
+        threads: None,
+        slack: 0.0,
+        only: None,
+        dir: None,
+        trend: false,
+        ledger_dir: None,
+    };
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
-            "--check" => check = true,
-            "--no-run" => run = false,
+            "--check" => o.check = true,
+            "--no-run" => o.run = false,
             "--help" | "-h" => {
                 print!("{}", usage());
                 return ExitCode::SUCCESS;
             }
             "--threads" => match value("--threads").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) if n > 0 => threads = Some(n),
+                Ok(Ok(n)) if n > 0 => o.threads = Some(n),
                 _ => {
                     eprintln!("hawkeye-report: --threads needs a positive integer");
                     return ExitCode::from(2);
                 }
             },
             "--slack" => match value("--slack").map(|v| v.parse::<f64>()) {
-                Ok(Ok(f)) if f >= 0.0 => slack = f,
+                Ok(Ok(f)) if f >= 0.0 => o.slack = f,
                 _ => {
                     eprintln!("hawkeye-report: --slack needs a non-negative number");
                     return ExitCode::from(2);
                 }
             },
             "--only" => match value("--only") {
-                Ok(list) => only = Some(list.split(',').map(|s| s.trim().to_string()).collect()),
+                Ok(list) => o.only = Some(list.split(',').map(|s| s.trim().to_string()).collect()),
                 Err(e) => {
                     eprintln!("hawkeye-report: {e}");
                     return ExitCode::from(2);
                 }
             },
             "--dir" => match value("--dir") {
-                Ok(d) => dir = Some(PathBuf::from(d)),
+                Ok(d) => o.dir = Some(PathBuf::from(d)),
                 Err(e) => {
                     eprintln!("hawkeye-report: {e}");
                     return ExitCode::from(2);
                 }
             },
-            "--trend" => trend = true,
+            "--trend" => o.trend = true,
             "--counts" => {
                 // Registry size and total check rows, computed from the
                 // section builders alone (they register a fixed check
@@ -140,7 +169,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--ledger" => match value("--ledger") {
-                Ok(d) => ledger_dir = Some(PathBuf::from(d)),
+                Ok(d) => o.ledger_dir = Some(PathBuf::from(d)),
                 Err(e) => {
                     eprintln!("hawkeye-report: {e}");
                     return ExitCode::from(2);
@@ -154,13 +183,22 @@ fn main() -> ExitCode {
         }
     }
 
+    match report(o) {
+        Ok(code) | Err(code) => code,
+    }
+}
+
+/// Runs the suite (unless `--no-run`) and writes every output file. An
+/// `Err` is an early exit with its code.
+fn report(opts: Opts) -> Result<ExitCode, ExitCode> {
+    let Opts { check, run, threads, slack, only, dir, trend, ledger_dir } = opts;
     let dir = dir.unwrap_or_else(hawkeye_report::default_report_dir);
     let data_dir = dir.join("data");
     let targets = match hawkeye_report::select_targets(only.as_deref()) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("hawkeye-report: {e}");
-            return ExitCode::from(2);
+            return Err(ExitCode::from(2));
         }
     };
 
@@ -182,43 +220,25 @@ fn main() -> ExitCode {
                     "hawkeye-report: {} suite target(s) failed; no REPORT.md or ledger entry written",
                     failed.len()
                 );
-                return ExitCode::from(5);
+                return Err(ExitCode::from(5));
             }
         };
-        let table = hawkeye_report::wallclock_table(&walls, threads);
+        // Host timing is advisory: a failed write is logged, not fatal.
         let wall_path = dir.join("WALLCLOCK.md");
-        match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&wall_path, &table)) {
+        match write_out(&wall_path, &hawkeye_report::wallclock_table(&walls, threads)) {
             Ok(()) => eprintln!("[hawkeye-report] wrote {}", wall_path.display()),
-            Err(e) => {
-                eprintln!(
-                    "[hawkeye-report] could not write {}: {e}",
-                    wall_path.display()
-                )
-            }
+            Err(e) => eprintln!("[hawkeye-report] {e}"),
         }
         let total: f64 = walls.iter().map(|w| w.total_secs).sum();
         eprintln!("[hawkeye-report] suite wall-clock: {total:.2}s — see WALLCLOCK.md");
     }
 
-    let data = match hawkeye_report::load(&targets, &data_dir) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("hawkeye-report: gate=load: {e}");
-            return ExitCode::from(3);
-        }
-    };
+    let data = hawkeye_report::load(&targets, &data_dir).map_err(|e| fail("load", &e))?;
     let sections = paper::sections(&data);
     let report = hawkeye_report::render(&sections, slack);
 
     let out_path = dir.join("REPORT.md");
-    if let Err(e) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&out_path, &report))
-    {
-        eprintln!(
-            "hawkeye-report: gate=load: could not write {}: {e}",
-            out_path.display()
-        );
-        return ExitCode::from(3);
-    }
+    write_out(&out_path, &report).map_err(|e| fail("load", &e))?;
     eprintln!("[hawkeye-report] wrote {}", out_path.display());
 
     // FLEET.md: the per-cohort SLO tables, whenever the fleet target is
@@ -226,16 +246,8 @@ fn main() -> ExitCode {
     for d in &data {
         if let Some(md) = hawkeye_analyze::fleet::fleet_md(&d.summary) {
             let fleet_path = dir.join("FLEET.md");
-            match std::fs::write(&fleet_path, &md) {
-                Ok(()) => eprintln!("[hawkeye-report] wrote {}", fleet_path.display()),
-                Err(e) => {
-                    eprintln!(
-                        "hawkeye-report: gate=load: could not write {}: {e}",
-                        fleet_path.display()
-                    );
-                    return ExitCode::from(3);
-                }
-            }
+            write_out(&fleet_path, &md).map_err(|e| fail("load", &e))?;
+            eprintln!("[hawkeye-report] wrote {}", fleet_path.display());
         }
     }
 
@@ -244,16 +256,8 @@ fn main() -> ExitCode {
     for d in &data {
         if let Some(md) = hawkeye_analyze::envelope::envelopes_md(&d.summary, d.trace.as_ref()) {
             let env_path = dir.join("ENVELOPES.md");
-            match std::fs::write(&env_path, &md) {
-                Ok(()) => eprintln!("[hawkeye-report] wrote {}", env_path.display()),
-                Err(e) => {
-                    eprintln!(
-                        "hawkeye-report: gate=load: could not write {}: {e}",
-                        env_path.display()
-                    );
-                    return ExitCode::from(3);
-                }
-            }
+            write_out(&env_path, &md).map_err(|e| fail("load", &e))?;
+            eprintln!("[hawkeye-report] wrote {}", env_path.display());
         }
     }
 
@@ -262,30 +266,16 @@ fn main() -> ExitCode {
     // present-but-unreadable document is a pipeline error, not a skip.
     let obs_path = data_dir.join("fleet_slo.obs.json");
     match std::fs::read_to_string(&obs_path) {
-        Ok(text) => match hawkeye_obs::ObsDoc::parse(&text) {
-            Ok(obs_doc) => {
-                let alerts_path = dir.join("ALERTS.md");
-                match std::fs::write(&alerts_path, hawkeye_obs::alerts_md(&obs_doc)) {
-                    Ok(()) => eprintln!("[hawkeye-report] wrote {}", alerts_path.display()),
-                    Err(e) => {
-                        eprintln!(
-                            "hawkeye-report: gate=load: could not write {}: {e}",
-                            alerts_path.display()
-                        );
-                        return ExitCode::from(3);
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("hawkeye-report: gate=load: {}: {e}", obs_path.display());
-                return ExitCode::from(3);
-            }
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => {
-            eprintln!("hawkeye-report: gate=load: {}: {e}", obs_path.display());
-            return ExitCode::from(3);
+        Ok(text) => {
+            let obs_doc = hawkeye_obs::ObsDoc::parse(&text)
+                .map_err(|e| fail("load", &format!("{}: {e}", obs_path.display())))?;
+            let alerts_path = dir.join("ALERTS.md");
+            write_out(&alerts_path, &hawkeye_obs::alerts_md(&obs_doc))
+                .map_err(|e| fail("load", &e))?;
+            eprintln!("[hawkeye-report] wrote {}", alerts_path.display());
         }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => return Err(fail("load", &format!("{}: {e}", obs_path.display()))),
     }
 
     // Perf-trajectory ledger: every real suite run appends one
@@ -296,37 +286,16 @@ fn main() -> ExitCode {
         let entry = hawkeye_report::ledger_entry(n, &walls, &sections, slack);
         let doc = entry.to_json().to_string() + "\n";
         let entry_path = ledger_dir.join(format!("BENCH_{n}.json"));
-        match std::fs::create_dir_all(&ledger_dir).and_then(|()| std::fs::write(&entry_path, &doc))
-        {
-            Ok(()) => eprintln!("[hawkeye-report] appended {}", entry_path.display()),
-            Err(e) => {
-                eprintln!(
-                    "hawkeye-report: gate=load: could not write {}: {e}",
-                    entry_path.display()
-                );
-                return ExitCode::from(3);
-            }
-        }
+        write_out(&entry_path, &doc).map_err(|e| fail("load", &e))?;
+        eprintln!("[hawkeye-report] appended {}", entry_path.display());
     }
 
     // TREND.md + the regression gate on deterministic work counters.
     let mut trend_regressions: Vec<String> = Vec::new();
     if trend {
-        let runs = match hawkeye_report::load_ledger(&ledger_dir) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("hawkeye-report: gate=trend: {e}");
-                return ExitCode::from(3);
-            }
-        };
+        let runs = hawkeye_report::load_ledger(&ledger_dir).map_err(|e| fail("trend", &e))?;
         let trend_path = dir.join("TREND.md");
-        if let Err(e) = std::fs::write(&trend_path, hawkeye_obs::trend_md(&runs)) {
-            eprintln!(
-                "hawkeye-report: gate=trend: could not write {}: {e}",
-                trend_path.display()
-            );
-            return ExitCode::from(3);
-        }
+        write_out(&trend_path, &hawkeye_obs::trend_md(&runs)).map_err(|e| fail("trend", &e))?;
         eprintln!(
             "[hawkeye-report] wrote {} ({} run(s))",
             trend_path.display(),
@@ -351,7 +320,7 @@ fn main() -> ExitCode {
             missing.len(),
             out_path.display()
         );
-        return ExitCode::from(4);
+        return Err(ExitCode::from(4));
     }
 
     if check {
@@ -365,7 +334,7 @@ fn main() -> ExitCode {
                 failures.len(),
                 out_path.display()
             );
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
         let total: usize = sections.iter().map(|s| s.checks.len()).sum();
         eprintln!("hawkeye-report: all {total} check(s) within tolerance");
@@ -378,11 +347,11 @@ fn main() -> ExitCode {
                 trend_regressions.len(),
                 dir.join("TREND.md").display()
             );
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
         if trend {
             eprintln!("hawkeye-report: perf-trajectory gate clean");
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -140,15 +140,6 @@ impl Mmu {
         l1.record_hits(pid, key, n)
     }
 
-    /// Whether one access to `vpn` at `size` is guaranteed to hit the L1
-    /// TLB (no state change, no statistics).
-    pub fn probe_l1(&self, pid: u32, vpn: Vpn, size: PageSize) -> bool {
-        match size {
-            PageSize::Base => self.l1_4k.probe(pid, vpn.0),
-            PageSize::Huge => self.l1_2m.probe(pid, vpn.hvpn().0),
-        }
-    }
-
     /// Charges executed (unhalted) cycles to a process — the denominator
     /// of the Table 4 overhead formula.
     pub fn record_unhalted(&mut self, pid: u32, cycles: Cycles) {
@@ -317,7 +308,6 @@ mod tests {
         // Warm both with the same miss.
         bulk.access(1, Vpn(0), PageSize::Huge, false);
         serial.access(1, Vpn(0), PageSize::Huge, false);
-        assert!(bulk.probe_l1(1, Vpn(7), PageSize::Huge));
         assert!(bulk.record_l1_hits(1, Vpn(7), PageSize::Huge, 100));
         for i in 0..100u64 {
             let o = serial.access(1, Vpn(i % 512), PageSize::Huge, false);
@@ -332,7 +322,6 @@ mod tests {
         assert_eq!(b, s);
         // Cold entry: refused, untouched.
         assert!(!bulk.record_l1_hits(2, Vpn(0), PageSize::Base, 5));
-        assert!(!bulk.probe_l1(2, Vpn(0), PageSize::Base));
     }
 
     #[test]

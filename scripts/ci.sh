@@ -41,16 +41,6 @@ cargo test --release -p hawkeye-bench --test workload_families_determinism -q
 echo "==> report-loader error-path tests"
 cargo test -p hawkeye-report --lib -q
 
-# Event-skip efficiency gate: on a representative compute/stream
-# workload, a minimum fraction of scheduler quanta must be charged in
-# closed form (quanta-skipped / quanta-total from Simulator::quanta). The
-# simulator is deterministic, so the ratio is an exact counter — this
-# gate cannot flake on a slow host, unlike a wall-clock bound. The
-# differential tests (diff_fast_path) pin that skipping changes no
-# simulated observable; this pins that it actually engages.
-echo "==> event-skip efficiency gate (counter-based)"
-cargo test --release -p hawkeye-kernel --test skip_efficiency -q
-
 # Serial-vs-multicore differential gate: at cores=1 every observable
 # (stats, PMU counters, trace journal, metric registry) is byte-identical
 # to the serial engine across all nine policies; at cores∈{2,4,8} the
