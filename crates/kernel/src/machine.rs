@@ -146,7 +146,7 @@ impl Machine {
         mmu.set_metrics_sink(metrics.clone());
         // Reserve the canonical zero page.
         let z = pm.alloc(Order(0), AllocPref::Zeroed).expect("boot memory");
-        pm.frame_mut(z.pfn).set_kind(FrameKind::Pinned);
+        pm.set_kind(z.pfn, FrameKind::Pinned);
         let conc = (config.cores > 1).then(|| ConcRecorder::new(config.cores));
         Machine {
             config,
@@ -360,12 +360,9 @@ impl Machine {
     }
 
     fn finish_map_base(&mut self, pid: u32, vpn: Vpn, pfn: Pfn) {
-        {
-            let f = self.pm.frame_mut(pfn);
-            f.set_kind(FrameKind::Anon);
-            f.set_owner(Some(OwnerTag { pid, vpn: vpn.0 }));
-            f.set_movable(true);
-        }
+        self.pm.set_kind(pfn, FrameKind::Anon);
+        self.pm.frame_mut(pfn).set_owner(Some(OwnerTag { pid, vpn: vpn.0 }));
+        self.pm.set_movable(pfn, true);
         let p = self.processes.get_mut(&pid).expect("faulting process exists");
         p.space_mut().map_base(vpn, pfn).expect("fault target is valid and unmapped");
     }
@@ -413,10 +410,10 @@ impl Machine {
 
     fn install_huge_frames(&mut self, pid: u32, hvpn: Hvpn, base_pfn: Pfn) {
         for i in 0..512u64 {
-            let f = self.pm.frame_mut(Pfn(base_pfn.0 + i));
-            f.set_kind(FrameKind::Anon);
-            f.set_owner(Some(OwnerTag { pid, vpn: hvpn.vpn_at(i).0 }));
-            f.set_movable(false);
+            let pfn = Pfn(base_pfn.0 + i);
+            self.pm.set_kind(pfn, FrameKind::Anon);
+            self.pm.frame_mut(pfn).set_owner(Some(OwnerTag { pid, vpn: hvpn.vpn_at(i).0 }));
+            self.pm.set_movable(pfn, false);
         }
     }
 
@@ -434,11 +431,8 @@ impl Machine {
         if !a.was_zeroed {
             cost += self.zero_sync(a.pfn, Order(0));
         }
-        {
-            let f = self.pm.frame_mut(a.pfn);
-            f.set_kind(FrameKind::Anon);
-            f.set_owner(Some(OwnerTag { pid, vpn: vpn.0 }));
-        }
+        self.pm.set_kind(a.pfn, FrameKind::Anon);
+        self.pm.frame_mut(a.pfn).set_owner(Some(OwnerTag { pid, vpn: vpn.0 }));
         let p = self.processes.get_mut(&pid).expect("faulting process exists");
         let space = p.space_mut();
         space.unmap_base(vpn).expect("zero-cow entry exists");
@@ -610,9 +604,9 @@ impl Machine {
         let p = self.processes.get_mut(&pid)?;
         let entry = p.space_mut().split_huge(hvpn).ok()?;
         for i in 0..512u64 {
-            let f = self.pm.frame_mut(Pfn(entry.pfn.0 + i));
-            f.set_movable(true);
-            f.set_owner(Some(OwnerTag { pid, vpn: hvpn.vpn_at(i).0 }));
+            let pfn = Pfn(entry.pfn.0 + i);
+            self.pm.set_movable(pfn, true);
+            self.pm.frame_mut(pfn).set_owner(Some(OwnerTag { pid, vpn: hvpn.vpn_at(i).0 }));
         }
         self.mmu.invalidate_region(pid, hvpn.0);
         self.stats.demotions += 1;
@@ -758,9 +752,8 @@ impl Machine {
         let mut pages = Vec::new();
         while self.pm.allocated_pages() < target {
             let Ok(a) = self.pm.alloc(Order(0), AllocPref::NonZeroed) else { break };
-            let f = self.pm.frame_mut(a.pfn);
-            f.set_kind(FrameKind::File);
-            f.set_content(PageContent::non_zero(0));
+            self.pm.set_kind(a.pfn, FrameKind::File);
+            self.pm.frame_mut(a.pfn).set_content(PageContent::non_zero(0));
             pages.push(a.pfn);
         }
         let mut rng = SplitMix64::new(seed);
@@ -805,7 +798,7 @@ impl Machine {
                 self.trace.emit(pid, TraceEvent::Demote { hvpn: h.0, cycles: 0 });
                 let pm = &mut self.pm;
                 for (_, e) in p.space().page_table().base_mappings_in_region(*h) {
-                    pm.frame_mut(e.pfn).set_movable(true);
+                    pm.set_movable(e.pfn, true);
                 }
             }
         }
@@ -975,13 +968,10 @@ fn migrate_frame(
     };
     let vpn = Vpn(owner.vpn);
     // The tag must agree with the page table; veto otherwise.
-    match p.space().page_table().base_entry(vpn) {
-        Some(e) if e.pfn == src && !e.zero_cow => {}
-        _ => return false,
+    if !p.space_mut().page_table_mut().migrate_base(vpn, src, dst) {
+        return false;
     }
-    p.space_mut().page_table_mut().remap_base(vpn, dst).expect("entry checked");
     mmu.invalidate_page(owner.pid, vpn);
-    let _ = src;
     true
 }
 

@@ -13,8 +13,8 @@
 
 use crate::content::PageContent;
 use crate::error::AllocError;
-use crate::frame::{Frame, FrameState, NOT_FREE_HEAD, NO_LINK};
-use crate::types::{Order, Pfn, MAX_ORDER};
+use crate::frame::{Frame, FrameKind, FrameState, NOT_FREE_HEAD, NO_LINK};
+use crate::types::{Order, Pfn, BASE_PAGES_PER_HUGE, HUGE_ORDER, MAX_ORDER};
 use hawkeye_metrics::MetricsSink;
 use hawkeye_trace::{TraceEvent, TraceSink};
 
@@ -46,7 +46,7 @@ pub struct Allocation {
     pub was_zeroed: bool,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct FreeList {
     head: u32,
     blocks: u64,
@@ -54,6 +54,35 @@ struct FreeList {
 
 impl FreeList {
     const EMPTY: FreeList = FreeList { head: NO_LINK, blocks: 0 };
+}
+
+/// Occupancy of one 2 MiB region, kept up to date by every operation that
+/// allocates, frees or changes a frame's movability, so compaction ranks
+/// regions without reading the frame table. The region's movable frames
+/// are `allocated - unmovable`.
+///
+/// The region's free frames are counted as `512 - allocated`: allocation
+/// state changes once per `alloc`/`free`, while free-list membership also
+/// changes on every buddy split and merge.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RegionCounts {
+    /// Allocated frames (including those the compactor has claimed).
+    pub(crate) allocated: u16,
+    /// Allocated frames compaction may not migrate.
+    pub(crate) unmovable: u16,
+}
+
+impl RegionCounts {
+    /// Frames inside free buddy blocks.
+    pub(crate) fn free(self) -> u64 {
+        BASE_PAGES_PER_HUGE - u64::from(self.allocated)
+    }
+}
+
+/// Index of the 2 MiB region holding `pfn`.
+#[inline]
+fn region_of(pfn: Pfn) -> usize {
+    (pfn.0 >> HUGE_ORDER.0) as usize
 }
 
 /// Simulated physical memory: a frame table plus the buddy allocator.
@@ -79,6 +108,8 @@ pub struct PhysMemory {
     lists: [[FreeList; 2]; NORDERS],
     free_pages: u64,
     zeroed_free_pages: u64,
+    /// One entry per 2 MiB region (see [`RegionCounts`]).
+    regions: Vec<RegionCounts>,
     /// Whether free blocks of different zero-ness may merge (demoting the
     /// merged block to non-zero). HawkEye keeps this off to protect the
     /// pre-zeroed pool; baselines that never read the zero lists turn it on
@@ -126,6 +157,7 @@ impl PhysMemory {
             lists: [[FreeList::EMPTY; 2]; NORDERS],
             free_pages: 0,
             zeroed_free_pages: 0,
+            regions: vec![RegionCounts::default(); (total_frames / BASE_PAGES_PER_HUGE) as usize],
             cross_merge,
             trace: TraceSink::default(),
             metrics: MetricsSink::default(),
@@ -205,6 +237,51 @@ impl PhysMemory {
         &mut self.frames[pfn.index()]
     }
 
+    /// Marks an allocated frame movable or unmovable for compaction
+    /// (huge-mapped frames are unmovable as units; a pinned frame stays
+    /// unmovable).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame is free: free frames are always movable
+    /// anonymous frames, which is what lets `alloc` skip them in the
+    /// region counts.
+    pub fn set_movable(&mut self, pfn: Pfn, movable: bool) {
+        self.update_mobility(pfn, |f| f.set_movable(movable));
+    }
+
+    /// Sets an allocated frame's kind; [`FrameKind::Pinned`] also makes it
+    /// unmovable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame is free, as [`PhysMemory::set_movable`] does.
+    pub fn set_kind(&mut self, pfn: Pfn, kind: FrameKind) {
+        self.update_mobility(pfn, |f| f.set_kind(kind));
+    }
+
+    /// Applies `change` to an allocated frame and moves it between its
+    /// region's movable and unmovable counts if its movability flipped.
+    fn update_mobility(&mut self, pfn: Pfn, change: impl FnOnce(&mut Frame)) {
+        let f = &mut self.frames[pfn.index()];
+        assert!(!f.is_free(), "{pfn} is free: only allocated frames change movability");
+        let was_movable = f.is_movable();
+        change(f);
+        if f.is_movable() != was_movable {
+            let unmovable = &mut self.regions[region_of(pfn)].unmovable;
+            if was_movable {
+                *unmovable += 1;
+            } else {
+                *unmovable -= 1;
+            }
+        }
+    }
+
+    /// Per-region occupancy, one entry per 2 MiB region in address order.
+    pub(crate) fn region_counts(&self) -> &[RegionCounts] {
+        &self.regions
+    }
+
     /// Allocates a block of `order` contiguous, aligned frames.
     ///
     /// The preferred free list is searched from `order` upward, then the
@@ -264,8 +341,12 @@ impl PhysMemory {
         for i in 0..order.pages() {
             let f = &mut self.frames[pfn.index() + i as usize];
             assert_eq!(f.state, FrameState::Allocated, "double free of {}", Pfn(pfn.0 + i));
+            if !f.is_movable() {
+                self.regions[region_of(Pfn(pfn.0 + i))].unmovable -= 1;
+            }
             f.reset_user_meta();
         }
+        self.count_allocated(pfn, order, false);
         self.insert_free_block(pfn, order);
     }
 
@@ -378,6 +459,29 @@ impl PhysMemory {
             let f = &mut self.frames[pfn.index() + i as usize];
             f.state = FrameState::Allocated;
             f.free_order = NOT_FREE_HEAD;
+            // Free frames are movable (`free` resets them and the setters
+            // refuse free frames), so the unmovable counts stay as they are.
+            debug_assert!(f.is_movable());
+        }
+        self.count_allocated(pfn, order, true);
+    }
+
+    /// Adds a block's frames to (or, unless `add`, takes them from) the
+    /// allocated counts of the regions it covers: a block of order up to 9
+    /// sits inside one region, an order-10 block fills two.
+    fn count_allocated(&mut self, pfn: Pfn, order: Order, add: bool) {
+        let r = region_of(pfn);
+        let (regions, per_region) = if order <= HUGE_ORDER {
+            (1, order.pages() as u16)
+        } else {
+            ((order.pages() / BASE_PAGES_PER_HUGE) as usize, BASE_PAGES_PER_HUGE as u16)
+        };
+        for region in &mut self.regions[r..r + regions] {
+            if add {
+                region.allocated += per_region;
+            } else {
+                region.allocated -= per_region;
+            }
         }
     }
 
@@ -482,6 +586,9 @@ impl PhysMemory {
         f.free_order = NOT_FREE_HEAD;
         f.set_owner(None);
         f.set_movable(false);
+        let counts = &mut self.regions[region_of(pfn)];
+        counts.allocated += 1;
+        counts.unmovable += 1;
     }
 
     /// Reinserts a single (list-removed) frame into the free lists.
@@ -489,8 +596,9 @@ impl PhysMemory {
         self.insert_free_block_raw(pfn, Order(0));
     }
 
-    /// Debug invariant check: list membership, counters, and zero-ness all
-    /// agree. Used by tests and property tests; O(frames).
+    /// Debug invariant check: list membership, counters, zero-ness and the
+    /// per-region counts all agree. Used by tests and property tests;
+    /// O(frames).
     pub fn check_invariants(&self) {
         let mut free = 0u64;
         let mut zeroed_free = 0u64;
@@ -529,6 +637,32 @@ impl PhysMemory {
             .filter(|f| f.state == FrameState::FreeHead)
             .count() as u64;
         assert_eq!(heads, seen_heads, "orphan free heads exist");
+        let mut regions = vec![RegionCounts::default(); self.regions.len()];
+        for (i, f) in self.frames.iter().enumerate() {
+            let r = &mut regions[i >> HUGE_ORDER.0];
+            if !f.is_free() {
+                r.allocated += 1;
+                r.unmovable += u16::from(!f.is_movable());
+            }
+        }
+        for (r, (kept, rescanned)) in self.regions.iter().zip(&regions).enumerate() {
+            assert_eq!(kept, rescanned, "region {r} counts disagree with a rescan");
+        }
+    }
+
+    /// Asserts that `self` and `other` hold the same frames (state,
+    /// linkage, kind, owner, movability, content), free lists, counters
+    /// and region counts.
+    #[cfg(test)]
+    pub(crate) fn assert_same_state(&self, other: &PhysMemory) {
+        assert_eq!(self.frames.len(), other.frames.len());
+        for (i, (a, b)) in self.frames.iter().zip(&other.frames).enumerate() {
+            assert!(a == b, "frame {i}: {a:?} != {b:?}");
+        }
+        assert_eq!(self.lists, other.lists, "free lists differ");
+        assert_eq!(self.free_pages, other.free_pages);
+        assert_eq!(self.zeroed_free_pages, other.zeroed_free_pages);
+        assert_eq!(self.regions, other.regions, "region counts differ");
     }
 }
 
@@ -697,6 +831,39 @@ mod tests {
         assert_eq!(pm.utilization(), 0.0);
         let _a = pm.alloc(HUGE_ORDER, AllocPref::Zeroed).unwrap();
         assert!((pm.utilization() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn region_counts_follow_alloc_free_and_movability() {
+        let mut pm = PhysMemory::new(2048);
+        let a = pm.alloc(Order(0), AllocPref::Zeroed).unwrap();
+        pm.set_kind(a.pfn, FrameKind::Pinned);
+        let r = region_of(a.pfn);
+        assert_eq!(pm.region_counts()[r], RegionCounts { allocated: 1, unmovable: 1 });
+        // An order-10 block covers two whole regions.
+        let big = pm.alloc(MAX_ORDER, AllocPref::Zeroed).unwrap();
+        let (r0, r1) = (region_of(big.pfn), region_of(big.pfn) + 1);
+        assert_eq!(pm.region_counts()[r0], RegionCounts { allocated: 512, unmovable: 0 });
+        assert_eq!(pm.region_counts()[r1], RegionCounts { allocated: 512, unmovable: 0 });
+        pm.set_movable(Pfn(big.pfn.0 + 5), false);
+        pm.set_movable(Pfn(big.pfn.0 + 512), false);
+        pm.set_movable(Pfn(big.pfn.0 + 512), false);
+        assert_eq!(pm.region_counts()[r0].unmovable, 1);
+        assert_eq!(pm.region_counts()[r1].unmovable, 1);
+        pm.check_invariants();
+        pm.free(a.pfn, a.order);
+        pm.free(big.pfn, big.order);
+        for r in pm.region_counts() {
+            assert_eq!(*r, RegionCounts::default());
+        }
+        pm.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "is free")]
+    fn free_frames_keep_their_movability() {
+        let mut pm = PhysMemory::new(1024);
+        pm.set_movable(Pfn(7), false);
     }
 
     #[test]

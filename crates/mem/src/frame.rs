@@ -35,6 +35,8 @@ pub struct OwnerTag {
 }
 
 pub(crate) const NO_LINK: u32 = u32::MAX;
+/// `Frame::owner_pid` value of a frame without a reverse-map owner.
+const NO_OWNER: u32 = u32::MAX;
 pub(crate) const NOT_FREE_HEAD: u8 = u8::MAX;
 
 /// Allocation state of a frame.
@@ -48,11 +50,15 @@ pub(crate) enum FrameState {
     FreeTail,
 }
 
-/// Metadata of one physical frame.
+/// Metadata of one physical frame (32 bytes).
 ///
 /// Instances live in [`crate::PhysMemory`]'s frame table and are accessed by
 /// [`crate::PhysMemory::frame`] / [`crate::PhysMemory::frame_mut`].
+/// Movability and kind change only through [`crate::PhysMemory::set_movable`]
+/// and [`crate::PhysMemory::set_kind`], which keep the per-region counts
+/// compaction reads in step.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq, Eq))]
 pub struct Frame {
     pub(crate) state: FrameState,
     /// Valid only when `state == FreeHead`.
@@ -61,7 +67,10 @@ pub struct Frame {
     pub(crate) prev: u32,
     pub(crate) next: u32,
     kind: FrameKind,
-    owner: Option<OwnerTag>,
+    /// Reverse-map owner, split so the frame packs into 32 bytes:
+    /// `owner_pid == NO_OWNER` means none (and `owner_vpn` is then 0).
+    owner_pid: u32,
+    owner_vpn: u64,
     movable: bool,
     content_tag: u16,
 }
@@ -74,7 +83,8 @@ impl Default for Frame {
             prev: NO_LINK,
             next: NO_LINK,
             kind: FrameKind::Anon,
-            owner: None,
+            owner_pid: NO_OWNER,
+            owner_vpn: 0,
             movable: true,
             content_tag: PageContent::ZERO_TAG,
         }
@@ -94,7 +104,7 @@ impl Frame {
     }
 
     /// Sets the allocation kind.
-    pub fn set_kind(&mut self, kind: FrameKind) {
+    pub(crate) fn set_kind(&mut self, kind: FrameKind) {
         self.kind = kind;
         if kind == FrameKind::Pinned {
             self.movable = false;
@@ -103,12 +113,23 @@ impl Frame {
 
     /// Reverse-map owner, if the frame backs a user mapping.
     pub fn owner(&self) -> Option<OwnerTag> {
-        self.owner
+        (self.owner_pid != NO_OWNER).then_some(OwnerTag { pid: self.owner_pid, vpn: self.owner_vpn })
     }
 
-    /// Sets (or clears) the reverse-map owner.
+    /// Sets (or clears) the reverse-map owner. Pid `u32::MAX` is reserved
+    /// (it encodes "no owner").
     pub fn set_owner(&mut self, owner: Option<OwnerTag>) {
-        self.owner = owner;
+        match owner {
+            Some(o) => {
+                debug_assert!(o.pid != NO_OWNER, "pid u32::MAX is reserved");
+                self.owner_pid = o.pid;
+                self.owner_vpn = o.vpn;
+            }
+            None => {
+                self.owner_pid = NO_OWNER;
+                self.owner_vpn = 0;
+            }
+        }
     }
 
     /// Whether compaction may migrate this frame.
@@ -118,7 +139,7 @@ impl Frame {
 
     /// Marks the frame movable/unmovable (e.g. huge-mapped frames are
     /// unmovable as units; pinned frames are never movable).
-    pub fn set_movable(&mut self, movable: bool) {
+    pub(crate) fn set_movable(&mut self, movable: bool) {
         self.movable = movable;
     }
 
@@ -140,7 +161,7 @@ impl Frame {
 
     pub(crate) fn reset_user_meta(&mut self) {
         self.kind = FrameKind::Anon;
-        self.owner = None;
+        self.set_owner(None);
         self.movable = true;
     }
 }
@@ -197,6 +218,11 @@ mod tests {
         assert_eq!(f.owner().unwrap().vpn, 42);
         f.set_owner(None);
         assert!(f.owner().is_none());
+    }
+
+    #[test]
+    fn frame_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Frame>(), 32);
     }
 
     #[test]

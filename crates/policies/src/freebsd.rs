@@ -106,11 +106,12 @@ impl HugePagePolicy for FreeBsd {
             return FaultAction::MapBase;
         };
         // Tag the reserved frames so compaction leaves them alone.
+        let pm = m.pm_mut();
         for i in 0..512u64 {
-            let f = m.pm_mut().frame_mut(Pfn(a.pfn.0 + i));
-            f.set_kind(FrameKind::Anon);
-            f.set_owner(Some(OwnerTag { pid, vpn: hvpn.vpn_at(i).0 }));
-            f.set_movable(false);
+            let pfn = Pfn(a.pfn.0 + i);
+            pm.set_kind(pfn, FrameKind::Anon);
+            pm.frame_mut(pfn).set_owner(Some(OwnerTag { pid, vpn: hvpn.vpn_at(i).0 }));
+            pm.set_movable(pfn, false);
         }
         let mut populated = Box::new([false; 512]);
         populated[off] = true;
@@ -147,7 +148,7 @@ impl HugePagePolicy for FreeBsd {
                 // individually movable from now on.
                 for (i, populated) in r.populated.iter().enumerate() {
                     if *populated {
-                        m.pm_mut().frame_mut(Pfn(r.pfn.0 + i as u64)).set_movable(true);
+                        m.pm_mut().set_movable(Pfn(r.pfn.0 + i as u64), true);
                     }
                 }
             }
@@ -176,7 +177,7 @@ impl HugePagePolicy for FreeBsd {
                     // the kernel; surviving ones become plain movable base
                     // pages.
                     if !covered {
-                        m.pm_mut().frame_mut(Pfn(r.pfn.0 + i)).set_movable(true);
+                        m.pm_mut().set_movable(Pfn(r.pfn.0 + i), true);
                     }
                 } else {
                     // Never populated: still reservation-held — return it.

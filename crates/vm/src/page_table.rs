@@ -766,20 +766,20 @@ impl PageTable {
         self.regions().filter(|(_, c)| c.huge.is_none()).map(|(h, _)| h)
     }
 
-    /// Rewrites the frame of the base mapping at `vpn` (page migration).
-    ///
-    /// # Errors
-    ///
-    /// [`MapError::NotMapped`] if no base entry exists.
-    pub fn remap_base(&mut self, vpn: Vpn, new_pfn: Pfn) -> Result<(), MapError> {
-        let c = self.chunk_mut(vpn.hvpn()).ok_or(MapError::NotMapped { vpn })?;
+    /// Moves the base mapping at `vpn` from frame `src` to `dst` (page
+    /// migration), checking and rewriting the entry in one lookup.
+    /// Returns false, changing nothing, unless `vpn` has a base entry on
+    /// `src` that is not zero-COW.
+    pub fn migrate_base(&mut self, vpn: Vpn, src: Pfn, dst: Pfn) -> bool {
+        let Some(c) = self.chunk_mut(vpn.hvpn()) else { return false };
         let i = vpn.huge_offset() as usize;
-        if c.huge.is_some() || !RegionChunk::bit(&c.mapped, i) {
-            return Err(MapError::NotMapped { vpn });
+        if !RegionChunk::bit(&c.mapped, i) || c.pfns[i] != src || RegionChunk::bit(&c.zero_cow, i) {
+            return false;
         }
-        c.pfns[i] = new_pfn;
+        debug_assert!(c.huge.is_none(), "base entry inside a huge region");
+        c.pfns[i] = dst;
         self.invalidate_cache();
-        Ok(())
+        true
     }
 }
 
@@ -921,9 +921,14 @@ mod tests {
     fn remap_base_moves_frame() {
         let mut pt = PageTable::new();
         pt.map_base(Vpn(3), Pfn(9), false).unwrap();
-        pt.remap_base(Vpn(3), Pfn(90)).unwrap();
+        pt.map_base(Vpn(4), Pfn(0), true).unwrap();
+        assert!(!pt.migrate_base(Vpn(3), Pfn(8), Pfn(90)), "wrong source");
+        assert!(!pt.migrate_base(Vpn(4), Pfn(0), Pfn(91)), "zero-COW entry");
+        assert!(!pt.migrate_base(Vpn(5), Pfn(9), Pfn(92)), "unmapped");
+        assert!(!pt.migrate_base(Vpn(9000), Pfn(9), Pfn(93)), "no region");
+        assert_eq!(pt.translate(Vpn(3)).unwrap().pfn, Pfn(9));
+        assert!(pt.migrate_base(Vpn(3), Pfn(9), Pfn(90)));
         assert_eq!(pt.translate(Vpn(3)).unwrap().pfn, Pfn(90));
-        assert!(pt.remap_base(Vpn(4), Pfn(1)).is_err());
     }
 
     #[test]
@@ -1005,7 +1010,7 @@ mod tests {
         assert!(pt.access(Vpn(9), true).is_none(), "stale cache entry survived unmap");
         pt.map_base(Vpn(9), Pfn(2), false).unwrap();
         assert_eq!(pt.access(Vpn(9), false).unwrap().pfn, Pfn(2));
-        pt.remap_base(Vpn(9), Pfn(3)).unwrap();
+        assert!(pt.migrate_base(Vpn(9), Pfn(2), Pfn(3)));
         assert_eq!(pt.access(Vpn(9), false).unwrap().pfn, Pfn(3));
     }
 

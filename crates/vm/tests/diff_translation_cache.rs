@@ -104,9 +104,10 @@ fn random_interleaving_identical_with_and_without_cache() {
                 }
                 91..=93 => {
                     let pfn = Pfn(rng.below(1 << 20));
+                    let src = on.base_entry(vpn).map_or(Pfn(0), |e| e.pfn);
                     assert_eq!(
-                        on.remap_base(vpn, pfn).is_ok(),
-                        off.remap_base(vpn, pfn).is_ok(),
+                        on.migrate_base(vpn, src, pfn),
+                        off.migrate_base(vpn, src, pfn),
                         "remap @ {step}"
                     );
                 }

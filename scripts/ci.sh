@@ -108,6 +108,12 @@ echo "==> hawkeye-perf smoke (--quick)"
 suite_t0=$SECONDS
 cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --quick
 
+# The same smoke at the held-out seed: perf/expected_digests.txt records
+# its quick-scale digests too, so a change that alters simulated results
+# only away from seed 7 still fails a digest here.
+echo "==> hawkeye-perf smoke (--quick --seed 11)"
+cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --quick --seed 11
+
 # The perf/ crate's own tests (BENCHMARK.json schema, digests, metric
 # names) compile against the re-exported paths the frozen crate imports
 # (hawkeye_bench::{Json, trace_json}, hawkeye_analyze::json,
