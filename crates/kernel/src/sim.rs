@@ -8,12 +8,13 @@
 use crate::config::KernelConfig;
 use crate::machine::{Machine, OutOfMemory};
 use crate::policy::{FaultAction, HugePagePolicy, Steering};
-use crate::process::OpCursor;
+use crate::process::{OpCursor, Process};
 use crate::workload::{MemOp, Workload};
-use hawkeye_mem::Pfn;
+use hawkeye_mem::{Pfn, PhysMemory};
 use hawkeye_metrics::{Cycles, Subsystem};
+use hawkeye_tlb::{AccessOutcome, Mmu};
 use hawkeye_trace::TraceEvent;
-use hawkeye_vm::{PageSize, Vpn};
+use hawkeye_vm::{PageSize, Translation, Vpn};
 
 /// Interposer on the touch path, invoked once per page touch after
 /// translation. The virtualization layer uses this to model the host side
@@ -80,6 +81,19 @@ struct CpuLedger {
     fault: Cycles,
     /// Application compute: think time, in-core accesses, spin loops.
     idle: Cycles,
+}
+
+/// Why [`Simulator::touch_slice`] stopped.
+#[derive(Clone, Copy)]
+enum SliceStop {
+    /// The op's end, or the quantum is used up: the caller's loop head
+    /// handles both.
+    Yield,
+    /// The next page needs a fault; nothing was done for it yet.
+    Fault,
+    /// The touch just made, which translated to this, is followed by a
+    /// guaranteed-L1-hit streak for [`Simulator::charge_streak`].
+    Streak(Translation),
 }
 
 /// The page sequence a guaranteed-L1-hit streak covers.
@@ -358,19 +372,26 @@ impl Simulator {
                 let (start, pages, write, think, stride, repeats) =
                     (*start, *pages, *write, *think, (*stride).max(1), (*repeats).max(1));
                 let fast = self.fast_path_on() && stride == 1;
+                let page = |i: u64| Vpn(start.0 + i * stride);
+                // A huge touch with more of the range ahead starts a streak.
+                let streak = |next: u64, tr: &Translation| fast && tr.size == PageSize::Huge && next < pages;
                 let mut i = cursor.progress;
                 while i < pages {
                     if *spent >= quantum {
                         cursor.progress = i;
                         return Ok(Some(cursor));
                     }
-                    let vpn = Vpn(start.0 + i * stride);
-                    let tr = self.touch_page(policy, pid, vpn, write, repeats, think, spent, ledger)?;
-                    i += 1;
-                    if fast && tr.size == PageSize::Huge && i < pages {
+                    let Some(tr) = self.touches(
+                        policy, pid, &mut i, pages, page, streak, write, repeats, think, quantum, spent, ledger,
+                    )?
+                    else {
+                        continue;
+                    };
+                    if streak(i, &tr) {
                         // The rest of this huge region is resident behind
                         // the L1 entry the touch above just used: charge
                         // the guaranteed-hit streak in closed form.
+                        let vpn = page(i - 1);
                         let max = (pages - i).min(511 - vpn.huge_offset());
                         i += self.charge_streak(
                             pid,
@@ -390,49 +411,99 @@ impl Simulator {
             MemOp::TouchList { vpns, write, think } => {
                 let (write, think) = (*write, *think);
                 let fast = self.fast_path_on();
-                let mut i = cursor.progress as usize;
-                while i < vpns.len() {
+                let page = |j: u64| vpns[j as usize];
+                // Later list entries guaranteed to hit the same L1 entry:
+                // repeats of this page, or (for a huge mapping) any page of
+                // the same region.
+                let hits_entry = |v: &Vpn, vpn: Vpn, tr: &Translation| match tr.size {
+                    PageSize::Huge => v.hvpn() == vpn.hvpn(),
+                    PageSize::Base => *v == vpn,
+                };
+                let streak = |next: u64, tr: &Translation| {
+                    fast && vpns.get(next as usize).is_some_and(|v| hits_entry(v, page(next - 1), tr))
+                };
+                let mut i = cursor.progress;
+                while i < vpns.len() as u64 {
                     if *spent >= quantum {
-                        cursor.progress = i as u64;
+                        cursor.progress = i;
                         return Ok(Some(cursor));
                     }
-                    let vpn = vpns[i];
-                    let tr = self.touch_page(policy, pid, vpn, write, 1, think, spent, ledger)?;
-                    i += 1;
-                    if fast {
-                        // Later list entries guaranteed to hit the same L1
-                        // entry: repeats of this page, or (for a huge
-                        // mapping) any page of the same region.
-                        let run = vpns[i..]
-                            .iter()
-                            .take_while(|v| match tr.size {
-                                PageSize::Huge => v.hvpn() == vpn.hvpn(),
-                                PageSize::Base => **v == vpn,
-                            })
-                            .count() as u64;
-                        if run > 0 {
-                            let region_pfn = match tr.size {
-                                PageSize::Huge => Pfn(tr.pfn.0 - vpn.huge_offset()),
-                                PageSize::Base => tr.pfn,
-                            };
-                            let n = self.charge_streak(
-                                pid,
-                                StreakShape::Listed { vpns: &vpns[i..], size: tr.size, region_pfn },
-                                write,
-                                1,
-                                think,
-                                run,
-                                quantum,
-                                spent,
-                                ledger,
-                            );
-                            i += n as usize;
-                        }
+                    let Some(tr) = self.touches(
+                        policy,
+                        pid,
+                        &mut i,
+                        vpns.len() as u64,
+                        page,
+                        streak,
+                        write,
+                        1,
+                        think,
+                        quantum,
+                        spent,
+                        ledger,
+                    )?
+                    else {
+                        continue;
+                    };
+                    if streak(i, &tr) {
+                        let vpn = page(i - 1);
+                        let rest = &vpns[i as usize..];
+                        let run = rest.iter().take_while(|v| hits_entry(v, vpn, &tr)).count() as u64;
+                        let region_pfn = match tr.size {
+                            PageSize::Huge => Pfn(tr.pfn.0 - vpn.huge_offset()),
+                            PageSize::Base => tr.pfn,
+                        };
+                        i += self.charge_streak(
+                            pid,
+                            StreakShape::Listed { vpns: rest, size: tr.size, region_pfn },
+                            write,
+                            1,
+                            think,
+                            run,
+                            quantum,
+                            spent,
+                            ledger,
+                        );
                     }
                 }
                 Ok(None)
             }
         }
+    }
+
+    /// Runs the next touches of a `TouchRange` or `TouchList` op, from
+    /// page index `*i` of `end`, and advances `*i` past them. With the
+    /// fast path on, [`Simulator::touch_slice`] runs as many as it can;
+    /// a page that needs a fault, and every page with the fast path off,
+    /// goes through [`Simulator::touch_page`] alone. Returns the last
+    /// touch's translation, after which the caller checks for a streak,
+    /// or `None` when the op's end or the quantum stopped the slice.
+    #[allow(clippy::too_many_arguments)]
+    fn touches(
+        &mut self,
+        policy: &mut dyn HugePagePolicy,
+        pid: u32,
+        i: &mut u64,
+        end: u64,
+        page: impl Fn(u64) -> Vpn,
+        streak_after: impl Fn(u64, &Translation) -> bool,
+        write: bool,
+        repeats: u32,
+        think: u32,
+        quantum: Cycles,
+        spent: &mut Cycles,
+        ledger: &mut CpuLedger,
+    ) -> Result<Option<Translation>, OutOfMemory> {
+        if self.fast_path_on() {
+            match self.touch_slice(pid, i, end, &page, streak_after, write, repeats, think, quantum, spent, ledger) {
+                SliceStop::Yield => return Ok(None),
+                SliceStop::Streak(tr) => return Ok(Some(tr)),
+                SliceStop::Fault => {}
+            }
+        }
+        let tr = self.touch_page(policy, pid, page(*i), write, repeats, think, spent, ledger)?;
+        *i += 1;
+        Ok(Some(tr))
     }
 
     /// Whether batched streak execution applies: the fast path is on and
@@ -558,7 +629,7 @@ impl Simulator {
         think: u32,
         spent: &mut Cycles,
         ledger: &mut CpuLedger,
-    ) -> Result<hawkeye_vm::Translation, OutOfMemory> {
+    ) -> Result<Translation, OutOfMemory> {
         let repeats = repeats.max(1);
         let mut guard = 0;
         loop {
@@ -599,11 +670,10 @@ impl Simulator {
     }
 
     /// One touch of a mapped page (for writes, resolved past any
-    /// zero-COW): one process lookup serves the translation, the MMU
-    /// access, the dirt draw and the stats update. Returns `None` — with
-    /// no state change beyond the side-effect-free failed translation —
-    /// when a fault is needed; [`Simulator::touch_page`] takes it and
-    /// retries.
+    /// zero-COW): one process lookup serves [`touch_body`], the access
+    /// hook and the stats update. Returns `None` — with no state change
+    /// beyond the side-effect-free failed translation — when a fault is
+    /// needed; [`Simulator::touch_page`] takes it and retries.
     #[allow(clippy::too_many_arguments)]
     fn touch_mapped(
         &mut self,
@@ -614,10 +684,9 @@ impl Simulator {
         think: u32,
         spent: &mut Cycles,
         ledger: &mut CpuLedger,
-    ) -> Option<hawkeye_vm::Translation> {
+    ) -> Option<Translation> {
         let (p, mmu, pm, config) = self.machine.touch_parts(pid).expect("running process");
-        let translation = p.space_mut().access(vpn, write)?;
-        let out = mmu.access(pid, vpn, translation.size, write);
+        let (translation, out) = touch_body(p, mmu, pm, pid, vpn, write)?;
         let compute = (config.costs.access + Cycles::new(think as u64)) * repeats as u64;
         *spent += out.cycles + compute;
         ledger.walk += out.cycles;
@@ -628,14 +697,65 @@ impl Simulator {
             *spent += hook_cost;
             ledger.fault += hook_cost;
         }
-        if write && !translation.zero_cow {
-            let dirt = p.dirt_offset();
-            pm.frame_mut(translation.pfn).set_content(hawkeye_mem::PageContent::non_zero(dirt));
-        }
         let st = p.stats_mut();
         st.touches += 1;
         st.accesses += repeats as u64;
         Some(translation)
+    }
+
+    /// Executes touches of one op back to back, from page index `*i` of
+    /// `end`, advancing `*i` past them (fast path, no hook). The
+    /// process, MMU and memory are borrowed once, and the cycle, ledger
+    /// and stats updates are summed in locals and applied once. Each
+    /// touch is [`touch_body`], exactly as [`Simulator::touch_mapped`]
+    /// runs it. Stops at the op's end, before a touch when
+    /// `spent ≥ quantum` (the per-touch loop's check), at the first page
+    /// that needs a fault, or after a touch for which
+    /// `streak_after(next index, translation)` holds, so the caller can
+    /// charge the streak as the per-touch loop would. Nothing observes
+    /// the process, MMU or memory between two of these touches (no
+    /// policy, hook or trace event runs), so deferring the summed updates
+    /// is exact.
+    #[allow(clippy::too_many_arguments)]
+    fn touch_slice(
+        &mut self,
+        pid: u32,
+        i: &mut u64,
+        end: u64,
+        page: impl Fn(u64) -> Vpn,
+        streak_after: impl Fn(u64, &Translation) -> bool,
+        write: bool,
+        repeats: u32,
+        think: u32,
+        quantum: Cycles,
+        spent: &mut Cycles,
+        ledger: &mut CpuLedger,
+    ) -> SliceStop {
+        let (p, mmu, pm, config) = self.machine.touch_parts(pid).expect("running process");
+        let compute = (config.costs.access + Cycles::new(think as u64)) * repeats as u64;
+        let (mut now, mut walk, mut touches) = (*spent, Cycles::ZERO, 0u64);
+        let stop = loop {
+            if *i >= end || now >= quantum {
+                break SliceStop::Yield;
+            }
+            let Some((tr, out)) = touch_body(p, mmu, pm, pid, page(*i), write) else {
+                break SliceStop::Fault;
+            };
+            now += out.cycles + compute;
+            walk += out.cycles;
+            touches += 1;
+            *i += 1;
+            if streak_after(*i, &tr) {
+                break SliceStop::Streak(tr);
+            }
+        };
+        *spent = now;
+        ledger.walk += walk;
+        ledger.idle += compute * touches;
+        let st = p.stats_mut();
+        st.touches += touches;
+        st.accesses += repeats as u64 * touches;
+        stop
     }
 
     /// Returns the fault cost and whether the fault was served huge.
@@ -660,6 +780,30 @@ impl Simulator {
             }
         }
     }
+}
+
+/// The body of one touch of a mapped page: translate (setting the
+/// accessed and dirty bits), model the access's TLB timing, and on a
+/// write dirty the frame with the workload's next dirt draw. The one copy
+/// shared by [`Simulator::touch_mapped`] and [`Simulator::touch_slice`],
+/// so both make the page-table, TLB and dirt-RNG calls in the same order.
+/// Returns `None`, changing nothing, when the touch needs a fault.
+#[inline(always)]
+fn touch_body(
+    p: &mut Process,
+    mmu: &mut Mmu,
+    pm: &mut PhysMemory,
+    pid: u32,
+    vpn: Vpn,
+    write: bool,
+) -> Option<(Translation, AccessOutcome)> {
+    let translation = p.space_mut().access(vpn, write)?;
+    let out = mmu.access(pid, vpn, translation.size, write);
+    if write && !translation.zero_cow {
+        let dirt = p.dirt_offset();
+        pm.frame_mut(translation.pfn).set_content(hawkeye_mem::PageContent::non_zero(dirt));
+    }
+    Some((translation, out))
 }
 
 #[cfg(test)]

@@ -73,11 +73,12 @@ impl PmuWindow {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Pmu {
-    /// Per-pid counter files, sorted by pid. A handful of processes run
-    /// per machine, so an inline sorted Vec beats a tree: the per-walk
-    /// charge path is a short scan over one cache line.
-    lifetime: Vec<(u32, Counters)>,
-    window: Vec<(u32, Counters)>,
+    /// Per-pid counter rows, sorted by pid: lifetime and current-window
+    /// counters side by side, so a charge finds both with one scan. A
+    /// handful of processes run per machine, so an inline sorted Vec
+    /// beats a tree. A pid has a row from its first charge until
+    /// [`Pmu::remove`]; sampling a window zeroes the row's window half.
+    rows: Vec<(u32, Row)>,
     /// Event journal handle; disabled (no-op) unless a trace scope attaches.
     trace: TraceSink,
     /// Cycle-attribution handle; feeds the per-walk duration histogram.
@@ -91,26 +92,28 @@ pub struct Pmu {
     pending_walks: LogHistogram,
 }
 
+/// One pid's counters.
+#[derive(Debug, Clone, Copy, Default)]
+struct Row {
+    lifetime: Counters,
+    window: Counters,
+}
+
 /// `table[pid]`, inserting zeroed counters at the sorted position when
 /// absent.
 #[inline]
-fn entry(table: &mut Vec<(u32, Counters)>, pid: u32) -> &mut Counters {
+fn entry(table: &mut Vec<(u32, Row)>, pid: u32) -> &mut Row {
     match table.iter().position(|(p, _)| *p >= pid) {
         Some(i) if table[i].0 == pid => &mut table[i].1,
         Some(i) => {
-            table.insert(i, (pid, Counters::default()));
+            table.insert(i, (pid, Row::default()));
             &mut table[i].1
         }
         None => {
-            table.push((pid, Counters::default()));
+            table.push((pid, Row::default()));
             &mut table.last_mut().expect("just pushed").1
         }
     }
-}
-
-#[inline]
-fn get(table: &[(u32, Counters)], pid: u32) -> Option<&Counters> {
-    table.iter().find(|(p, _)| *p == pid).map(|(_, c)| c)
 }
 
 impl Pmu {
@@ -133,7 +136,8 @@ impl Pmu {
     /// Charges a page-walk duration to `pid` (`store` selects the store
     /// counter, mirroring the two Table 4 events).
     pub fn record_walk(&mut self, pid: u32, duration: Cycles, store: bool) {
-        for c in [entry(&mut self.lifetime, pid), entry(&mut self.window, pid)] {
+        let row = entry(&mut self.rows, pid);
+        for c in [&mut row.lifetime, &mut row.window] {
             if store {
                 c.store_walk += duration;
             } else {
@@ -158,25 +162,28 @@ impl Pmu {
 
     /// Charges executed cycles (`CPU_CLK_UNHALTED`) to `pid`.
     pub fn record_unhalted(&mut self, pid: u32, cycles: Cycles) {
-        entry(&mut self.lifetime, pid).unhalted += cycles;
-        entry(&mut self.window, pid).unhalted += cycles;
+        let row = entry(&mut self.rows, pid);
+        row.lifetime.unhalted += cycles;
+        row.window.unhalted += cycles;
     }
 
     /// Lifetime counters for `pid` (zeroes if never seen).
     pub fn lifetime(&self, pid: u32) -> PmuWindow {
-        Self::to_window(get(&self.lifetime, pid))
+        self.row(pid).map(|r| Self::to_window(&r.lifetime)).unwrap_or_default()
     }
 
     /// Current-window counters for `pid` without resetting.
     pub fn window(&self, pid: u32) -> PmuWindow {
-        Self::to_window(get(&self.window, pid))
+        self.row(pid).map(|r| Self::to_window(&r.window)).unwrap_or_default()
     }
 
     /// Returns the current window for `pid` and starts a new one —
     /// HawkEye-PMU's periodic sampling.
     pub fn sample_window(&mut self, pid: u32) -> PmuWindow {
-        let w = Self::to_window(get(&self.window, pid));
-        self.window.retain(|(p, _)| *p != pid);
+        let w = match self.rows.iter_mut().find(|(p, _)| *p == pid) {
+            Some((_, r)) => Self::to_window(&std::mem::take(&mut r.window)),
+            None => PmuWindow::default(),
+        };
         self.trace.emit(
             pid,
             TraceEvent::QuantumEnd {
@@ -191,23 +198,20 @@ impl Pmu {
 
     /// Drops all state for an exited process.
     pub fn remove(&mut self, pid: u32) {
-        self.lifetime.retain(|(p, _)| *p != pid);
-        self.window.retain(|(p, _)| *p != pid);
+        self.rows.retain(|(p, _)| *p != pid);
     }
 
     /// All pids with lifetime counters, ascending.
     pub fn pids(&self) -> Vec<u32> {
-        self.lifetime.iter().map(|(p, _)| *p).collect()
+        self.rows.iter().map(|(p, _)| *p).collect()
     }
 
-    fn to_window(c: Option<&Counters>) -> PmuWindow {
-        c.map(|c| PmuWindow {
-            load_walk: c.load_walk,
-            store_walk: c.store_walk,
-            unhalted: c.unhalted,
-            walks: c.walks,
-        })
-        .unwrap_or_default()
+    fn row(&self, pid: u32) -> Option<&Row> {
+        self.rows.iter().find(|(p, _)| *p == pid).map(|(_, r)| r)
+    }
+
+    fn to_window(c: &Counters) -> PmuWindow {
+        PmuWindow { load_walk: c.load_walk, store_walk: c.store_walk, unhalted: c.unhalted, walks: c.walks }
     }
 }
 
@@ -279,6 +283,22 @@ mod tests {
         let pmu = Pmu::new();
         assert_eq!(pmu.lifetime(42).mmu_overhead(), 0.0);
         assert_eq!(pmu.window(42).walks, 0);
+    }
+
+    #[test]
+    fn sampling_keeps_the_pid_and_zeroes_only_its_window() {
+        let mut pmu = Pmu::new();
+        pmu.record_walk(1, Cycles::new(10), true);
+        pmu.record_walk(2, Cycles::new(20), false);
+        let w = pmu.sample_window(1);
+        assert_eq!((w.store_walk, w.walks), (Cycles::new(10), 1));
+        assert_eq!(pmu.pids(), vec![1, 2]);
+        assert_eq!(pmu.window(1), PmuWindow::default());
+        assert_eq!(pmu.lifetime(1).store_walk, Cycles::new(10));
+        assert_eq!(pmu.window(2).load_walk, Cycles::new(20));
+        // An unknown pid samples as an empty window and gains no row.
+        assert_eq!(pmu.sample_window(9), PmuWindow::default());
+        assert_eq!(pmu.pids(), vec![1, 2]);
     }
 
     #[test]

@@ -20,24 +20,23 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocTlb {
-    /// Flat set storage: set `i` occupies `entries[i*assoc..i*assoc+lens[i]]`.
-    /// One contiguous allocation — the lookup hot path does a single
-    /// indexed scan with no per-set pointer chase. Within-set order is
-    /// unobservable: `(pid, key)` pairs are unique per set and LRU stamps
-    /// are globally unique, so scans and eviction are order-independent.
-    entries: Vec<Entry>,
-    lens: Vec<u8>,
+    /// Flat set storage: set `i` occupies ways `i*assoc..(i+1)*assoc` of
+    /// `tags` and `stamps`. An empty way holds [`EMPTY`] with stamp 0;
+    /// live ways hold `pid << KEY_BITS | key` and a stamp ≥ 1. Within-set
+    /// order is unobservable: `(pid, key)` pairs are unique per set and
+    /// live LRU stamps are globally unique, so scans and eviction are
+    /// order-independent.
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
     assoc: usize,
+    sets: usize,
     stamp: u64,
+    /// Slot (index into `tags`) of the LRU way of the set that the last
+    /// missing [`SetAssocTlb::lookup`] scanned — where
+    /// [`SetAssocTlb::insert_absent`] writes.
+    victim: usize,
     hits: u64,
     misses: u64,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Entry {
-    /// `pid << KEY_BITS | key` — one 16-byte entry, one compare per way.
-    tag: u64,
-    stamp: u64,
 }
 
 /// Key bits reserved in an entry tag; keys are page or region numbers
@@ -46,11 +45,52 @@ struct Entry {
 const KEY_BITS: u32 = 48;
 const KEY_MASK: u64 = (1 << KEY_BITS) - 1;
 
+/// The tag of an empty way. `tag()` never produces it: the all-ones pid
+/// is reserved.
+const EMPTY: u64 = u64::MAX;
+
 #[inline]
 fn tag(pid: u32, key: u64) -> u64 {
     debug_assert!(key <= KEY_MASK, "tlb key exceeds {KEY_BITS} bits");
-    debug_assert!((pid as u64) < (1 << (64 - KEY_BITS)), "pid exceeds tag bits");
+    debug_assert!((pid as u64) < (1 << (64 - KEY_BITS)) - 1, "pid exceeds tag bits");
     ((pid as u64) << KEY_BITS) | key
+}
+
+/// One scan of a set of `W` ways: `Ok(way)` if `t` is present, else
+/// `Err(way)` of the LRU victim (the lowest stamp, so an empty way first).
+/// The tags are compared into a bitmask with no early exit, which the
+/// fixed width lets the compiler unroll and vectorize; only a miss reads
+/// the stamps.
+#[inline(always)]
+fn scan_fixed<const W: usize>(tags: &[u64; W], stamps: &[u64; W], t: u64) -> Result<usize, usize> {
+    let mut hits = 0u32;
+    for (w, &tag) in tags.iter().enumerate() {
+        hits |= ((tag == t) as u32) << w;
+    }
+    if hits != 0 {
+        return Ok(hits.trailing_zeros() as usize);
+    }
+    let (mut victim, mut oldest) = (0, stamps[0]);
+    for (w, &stamp) in stamps.iter().enumerate().skip(1) {
+        if stamp < oldest {
+            (victim, oldest) = (w, stamp);
+        }
+    }
+    Err(victim)
+}
+
+/// The first `W` ways of a set as an array.
+#[inline(always)]
+fn ways<const W: usize>(set: &[u64]) -> &[u64; W] {
+    set[..W].try_into().expect("slice of length W")
+}
+
+/// [`scan_fixed`] for any set width.
+fn scan_any(tags: &[u64], stamps: &[u64], t: u64) -> Result<usize, usize> {
+    match tags.iter().position(|&x| x == t) {
+        Some(w) => Ok(w),
+        None => Err((0..stamps.len()).min_by_key(|&w| stamps[w]).unwrap_or(0)),
+    }
 }
 
 impl SetAssocTlb {
@@ -63,13 +103,13 @@ impl SetAssocTlb {
     pub fn new(entries: usize, assoc: usize) -> Self {
         assert!(entries > 0 && assoc > 0, "empty tlb");
         assert_eq!(entries % assoc, 0, "associativity must divide entry count");
-        assert!(assoc <= u8::MAX as usize, "associativity exceeds set length counter");
-        let nsets = entries / assoc;
         SetAssocTlb {
-            entries: vec![Entry::default(); entries],
-            lens: vec![0; nsets],
+            tags: vec![EMPTY; entries],
+            stamps: vec![0; entries],
             assoc,
+            sets: entries / assoc,
             stamp: 0,
+            victim: 0,
             hits: 0,
             misses: 0,
         }
@@ -77,45 +117,50 @@ impl SetAssocTlb {
 
     /// Total capacity in entries.
     pub fn capacity(&self) -> usize {
-        self.lens.len() * self.assoc
+        self.tags.len()
     }
 
+    /// First slot of the set holding `key`.
     #[inline]
-    fn set_index(&self, key: u64) -> usize {
-        // Same mapping as `key % nsets`, but real geometries have
+    fn set_base(&self, key: u64) -> usize {
+        // Same mapping as `key % sets`, but real geometries have
         // power-of-two set counts and a masked AND avoids a hardware
         // divide on every probe.
-        let n = self.lens.len();
-        if n.is_power_of_two() {
-            (key as usize) & (n - 1)
-        } else {
-            (key as usize) % n
-        }
+        let n = self.sets;
+        let idx = if n.is_power_of_two() { (key as usize) & (n - 1) } else { (key as usize) % n };
+        idx * self.assoc
     }
 
-    /// The live entries of the set holding `key`, with the set's base
-    /// offset and length.
+    /// Scans the set holding `t`'s key, whose first slot is `base`:
+    /// `Ok(slot)` on a hit, else `Err(slot)` of the set's LRU victim.
     #[inline]
-    fn set(&mut self, key: u64) -> (usize, usize) {
-        let idx = self.set_index(key);
-        (idx * self.assoc, self.lens[idx] as usize)
+    fn scan(&self, base: usize, t: u64) -> Result<usize, usize> {
+        let (tags, stamps) = (&self.tags[base..], &self.stamps[base..]);
+        let way = match self.assoc {
+            4 => scan_fixed::<4>(ways(tags), ways(stamps), t),
+            8 => scan_fixed::<8>(ways(tags), ways(stamps), t),
+            n => scan_any(&tags[..n], &stamps[..n], t),
+        };
+        way.map(|w| base + w).map_err(|w| base + w)
     }
 
     /// Looks up `(pid, key)`, refreshing LRU on hit. Returns whether it
-    /// hit. Statistics are updated.
+    /// hit. Statistics are updated; a miss remembers the set's LRU way,
+    /// where an immediate fill of the missing key goes.
     #[inline]
     pub fn lookup(&mut self, pid: u32, key: u64) -> bool {
         self.stamp += 1;
-        let stamp = self.stamp;
-        let t = tag(pid, key);
-        let (base, len) = self.set(key);
-        if let Some(e) = self.entries[base..base + len].iter_mut().find(|e| e.tag == t) {
-            e.stamp = stamp;
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
+        match self.scan(self.set_base(key), tag(pid, key)) {
+            Ok(slot) => {
+                self.stamps[slot] = self.stamp;
+                self.hits += 1;
+                true
+            }
+            Err(victim) => {
+                self.victim = victim;
+                self.misses += 1;
+                false
+            }
         }
     }
 
@@ -130,118 +175,71 @@ impl SetAssocTlb {
         if n == 0 {
             return true;
         }
-        let stamp = self.stamp + n;
-        let t = tag(pid, key);
-        let (base, len) = self.set(key);
-        if let Some(e) = self.entries[base..base + len].iter_mut().find(|e| e.tag == t) {
-            e.stamp = stamp;
-            self.stamp = stamp;
-            self.hits += n;
-            true
-        } else {
-            false
-        }
+        let Ok(slot) = self.scan(self.set_base(key), tag(pid, key)) else { return false };
+        self.stamp += n;
+        self.stamps[slot] = self.stamp;
+        self.hits += n;
+        true
     }
 
     /// Checks presence without updating LRU or statistics.
     pub fn probe(&self, pid: u32, key: u64) -> bool {
-        let idx = self.set_index(key);
-        let base = idx * self.assoc;
-        let len = self.lens[idx] as usize;
-        let t = tag(pid, key);
-        self.entries[base..base + len].iter().any(|e| e.tag == t)
+        self.scan(self.set_base(key), tag(pid, key)).is_ok()
     }
 
     /// Inserts `(pid, key)`, evicting the set's LRU entry if full.
     /// Idempotent for present entries (refreshes LRU instead).
     pub fn insert(&mut self, pid: u32, key: u64) {
         self.stamp += 1;
-        let stamp = self.stamp;
-        let assoc = self.assoc;
         let t = tag(pid, key);
-        let idx = self.set_index(key);
-        let base = idx * assoc;
-        let len = self.lens[idx] as usize;
-        let set = &mut self.entries[base..base + len];
-        if let Some(e) = set.iter_mut().find(|e| e.tag == t) {
-            e.stamp = stamp;
-            return;
-        }
-        if len < assoc {
-            self.entries[base + len] = Entry { tag: t, stamp };
-            self.lens[idx] += 1;
-            return;
-        }
-        let lru = set
-            .iter_mut()
-            .min_by_key(|e| e.stamp)
-            .expect("set is full, hence non-empty");
-        *lru = Entry { tag: t, stamp };
+        let slot = self.scan(self.set_base(key), t).unwrap_or_else(|victim| victim);
+        self.tags[slot] = t;
+        self.stamps[slot] = self.stamp;
     }
 
     /// [`SetAssocTlb::insert`] for a key the caller has just proven absent
     /// (its `lookup` missed with no intervening mutation of this
-    /// structure): skips the redundant presence scan. Exactly equivalent
-    /// to `insert` under that precondition — same stamp, same eviction.
+    /// structure): writes straight into the victim slot that lookup
+    /// remembered, with no rescan. Exactly equivalent to `insert` under
+    /// that precondition — same stamp, same eviction.
     pub(crate) fn insert_absent(&mut self, pid: u32, key: u64) {
         self.stamp += 1;
-        let stamp = self.stamp;
-        let assoc = self.assoc;
         let t = tag(pid, key);
-        let idx = self.set_index(key);
-        let base = idx * assoc;
-        let len = self.lens[idx] as usize;
-        debug_assert!(!self.entries[base..base + len].iter().any(|e| e.tag == t));
-        if len < assoc {
-            self.entries[base + len] = Entry { tag: t, stamp };
-            self.lens[idx] += 1;
-            return;
-        }
-        let lru = self.entries[base..base + len]
-            .iter_mut()
-            .min_by_key(|e| e.stamp)
-            .expect("set is full, hence non-empty");
-        *lru = Entry { tag: t, stamp };
+        debug_assert_eq!(self.scan(self.set_base(key), t), Err(self.victim), "stale victim");
+        self.tags[self.victim] = t;
+        self.stamps[self.victim] = self.stamp;
     }
 
-    /// Drops from set `idx` every entry matching `gone` (compacting the
-    /// set in place).
-    fn evict_from_set(&mut self, idx: usize, mut gone: impl FnMut(&Entry) -> bool) {
-        let base = idx * self.assoc;
-        let len = self.lens[idx] as usize;
-        let mut keep = 0usize;
-        for i in 0..len {
-            if !gone(&self.entries[base + i]) {
-                self.entries[base + keep] = self.entries[base + i];
-                keep += 1;
+    /// Empties every way for which `gone(tag)` holds.
+    fn evict_where(&mut self, mut gone: impl FnMut(u64) -> bool) {
+        for (t, s) in self.tags.iter_mut().zip(&mut self.stamps) {
+            if *t != EMPTY && gone(*t) {
+                *t = EMPTY;
+                *s = 0;
             }
         }
-        self.lens[idx] = keep as u8;
     }
 
     /// Drops one entry if present.
     pub fn invalidate(&mut self, pid: u32, key: u64) {
-        let idx = self.set_index(key);
-        let t = tag(pid, key);
-        self.evict_from_set(idx, |e| e.tag == t);
+        if let Ok(slot) = self.scan(self.set_base(key), tag(pid, key)) {
+            self.tags[slot] = EMPTY;
+            self.stamps[slot] = 0;
+        }
     }
 
     /// Drops all entries of a process (context switch with ASID reuse,
     /// or process exit).
     pub fn invalidate_pid(&mut self, pid: u32) {
         let owner = (pid as u64) << KEY_BITS;
-        for idx in 0..self.lens.len() {
-            self.evict_from_set(idx, |e| e.tag & !KEY_MASK == owner);
-        }
+        self.evict_where(|t| t & !KEY_MASK == owner);
     }
 
     /// Drops every entry whose key satisfies the predicate for `pid`
     /// (range shootdowns).
     pub fn invalidate_if(&mut self, pid: u32, mut pred: impl FnMut(u64) -> bool) {
         let owner = (pid as u64) << KEY_BITS;
-        for idx in 0..self.lens.len() {
-            self.evict_from_set(idx, |e| e.tag & !KEY_MASK == owner && pred(e.tag & KEY_MASK));
-        }
+        self.evict_where(|t| t & !KEY_MASK == owner && pred(t & KEY_MASK));
     }
 
     /// Lifetime hit count.
@@ -256,7 +254,7 @@ impl SetAssocTlb {
 
     /// Current number of valid entries.
     pub fn occupancy(&self) -> usize {
-        self.lens.iter().map(|l| *l as usize).sum()
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 }
 
@@ -360,5 +358,193 @@ mod tests {
     #[should_panic(expected = "associativity")]
     fn bad_geometry_rejected() {
         let _ = SetAssocTlb::new(10, 4);
+    }
+
+    /// The set layout this file replaced, kept as a test oracle: sets are
+    /// compacted `Vec` prefixes with a length counter, empty ways are
+    /// appended to before any eviction, and every call rescans its set.
+    #[derive(Debug, Clone)]
+    struct ReferenceTlb {
+        entries: Vec<(u64, u64)>,
+        lens: Vec<u8>,
+        assoc: usize,
+        stamp: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl ReferenceTlb {
+        fn new(entries: usize, assoc: usize) -> Self {
+            let lens = vec![0; entries / assoc];
+            ReferenceTlb { entries: vec![(0, 0); entries], lens, assoc, stamp: 0, hits: 0, misses: 0 }
+        }
+
+        fn set(&self, key: u64) -> (usize, usize, usize) {
+            let idx = key as usize % self.lens.len();
+            (idx, idx * self.assoc, self.lens[idx] as usize)
+        }
+
+        fn lookup(&mut self, pid: u32, key: u64) -> bool {
+            self.stamp += 1;
+            let stamp = self.stamp;
+            let t = tag(pid, key);
+            let (_, base, len) = self.set(key);
+            match self.entries[base..base + len].iter_mut().find(|e| e.0 == t) {
+                Some(e) => {
+                    e.1 = stamp;
+                    self.hits += 1;
+                    true
+                }
+                None => {
+                    self.misses += 1;
+                    false
+                }
+            }
+        }
+
+        fn record_hits(&mut self, pid: u32, key: u64, n: u64) -> bool {
+            if n == 0 {
+                return true;
+            }
+            let stamp = self.stamp + n;
+            let t = tag(pid, key);
+            let (_, base, len) = self.set(key);
+            match self.entries[base..base + len].iter_mut().find(|e| e.0 == t) {
+                Some(e) => {
+                    e.1 = stamp;
+                    self.stamp = stamp;
+                    self.hits += n;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn probe(&self, pid: u32, key: u64) -> bool {
+            let (_, base, len) = self.set(key);
+            self.entries[base..base + len].iter().any(|e| e.0 == tag(pid, key))
+        }
+
+        fn insert(&mut self, pid: u32, key: u64) {
+            self.stamp += 1;
+            let stamp = self.stamp;
+            let t = tag(pid, key);
+            let (idx, base, len) = self.set(key);
+            if let Some(e) = self.entries[base..base + len].iter_mut().find(|e| e.0 == t) {
+                e.1 = stamp;
+            } else if len < self.assoc {
+                self.entries[base + len] = (t, stamp);
+                self.lens[idx] += 1;
+            } else {
+                let lru = self.entries[base..base + len]
+                    .iter_mut()
+                    .min_by_key(|e| e.1)
+                    .expect("set is full, hence non-empty");
+                *lru = (t, stamp);
+            }
+        }
+
+        fn evict_where(&mut self, mut gone: impl FnMut(u64) -> bool) {
+            for idx in 0..self.lens.len() {
+                let base = idx * self.assoc;
+                let mut keep = 0;
+                for i in 0..self.lens[idx] as usize {
+                    if !gone(self.entries[base + i].0) {
+                        self.entries[base + keep] = self.entries[base + i];
+                        keep += 1;
+                    }
+                }
+                self.lens[idx] = keep as u8;
+            }
+        }
+
+        fn occupancy(&self) -> usize {
+            self.lens.iter().map(|l| *l as usize).sum()
+        }
+    }
+
+    /// Random op sequences on both layouts, at every geometry the
+    /// simulator builds (haswell and tiny configs) plus a few more: after
+    /// every step the return values, counters, occupancy and the set of
+    /// resident `(pid, key)` tags agree, and every 256 steps `probe`
+    /// agrees on every key.
+    #[test]
+    fn matches_vec_and_len_reference() {
+        use hawkeye_mem::rng::SplitMix64;
+        const PIDS: u32 = 3;
+        for (entries, assoc) in [(64, 4), (8, 8), (1024, 8), (32, 4), (4, 4), (2, 2)] {
+            // Keys span a few times the capacity, so sets churn.
+            let keys = (entries as u64 * 3).max(8);
+            for seed in 0..6u64 {
+                let mut rng = SplitMix64::new((seed << 16) | (entries as u64 + assoc as u64));
+                let mut tlb = SetAssocTlb::new(entries, assoc);
+                let mut oracle = ReferenceTlb::new(entries, assoc);
+                for step in 0..3000 {
+                    let pid = 1 + rng.below(PIDS as u64) as u32;
+                    let key = rng.below(keys);
+                    let at = format!("{entries}x{assoc} seed {seed} step {step}");
+                    match rng.below(100) {
+                        0..=39 => assert_eq!(tlb.lookup(pid, key), oracle.lookup(pid, key), "lookup @ {at}"),
+                        40..=69 => {
+                            // The MMU's miss-then-fill pattern.
+                            let hit = tlb.lookup(pid, key);
+                            assert_eq!(hit, oracle.lookup(pid, key), "lookup @ {at}");
+                            if !hit {
+                                tlb.insert_absent(pid, key);
+                                oracle.insert(pid, key);
+                            }
+                        }
+                        70..=79 => {
+                            tlb.insert(pid, key);
+                            oracle.insert(pid, key);
+                        }
+                        80..=87 => {
+                            let n = rng.below(4);
+                            assert_eq!(
+                                tlb.record_hits(pid, key, n),
+                                oracle.record_hits(pid, key, n),
+                                "record_hits @ {at}"
+                            );
+                        }
+                        88..=93 => {
+                            tlb.invalidate(pid, key);
+                            let t = tag(pid, key);
+                            oracle.evict_where(|e| e == t);
+                        }
+                        94..=95 => {
+                            tlb.invalidate_pid(pid);
+                            oracle.evict_where(|e| e >> KEY_BITS == pid as u64);
+                        }
+                        _ => {
+                            let (lo, hi) = (key, key + 1 + rng.below(keys / 2));
+                            tlb.invalidate_if(pid, |k| k >= lo && k < hi);
+                            oracle.evict_where(|e| {
+                                e >> KEY_BITS == pid as u64 && (lo..hi).contains(&(e & KEY_MASK))
+                            });
+                        }
+                    }
+                    assert_eq!((tlb.hits(), tlb.misses()), (oracle.hits, oracle.misses), "counters @ {at}");
+                    assert_eq!(tlb.occupancy(), oracle.occupancy(), "occupancy @ {at}");
+                    // Equal live tag sets: every key's presence agrees.
+                    let mut live: Vec<u64> = tlb.tags.iter().copied().filter(|&t| t != EMPTY).collect();
+                    let mut want: Vec<u64> = (0..oracle.lens.len())
+                        .flat_map(|i| {
+                            let base = i * assoc;
+                            oracle.entries[base..base + oracle.lens[i] as usize].iter().map(|e| e.0)
+                        })
+                        .collect();
+                    live.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(live, want, "resident tags @ {at}");
+                    if step % 256 == 0 {
+                        for p in 1..=PIDS {
+                            for k in 0..keys {
+                                assert_eq!(tlb.probe(p, k), oracle.probe(p, k), "probe {p}/{k} @ {at}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -25,18 +25,20 @@
 //!
 //! # Translation cache
 //!
-//! The table embeds a small set-associative software translation cache on
-//! the [`PageTable::access`] hot path, with an LRU clock per entry. Base
-//! pages are cached per-VPN; huge mappings are cached **per region** (one
-//! entry satisfies all 512 constituent pages), which keeps the cache
-//! effective for large promoted working sets. A cached entry may satisfy
-//! an access without touching the chunk only when doing so is invisible:
-//! the entry's accessed bit is known set, and (for writes) its dirty bit
-//! too, so the access would not change any table state. Every mutation
-//! (map/unmap/split/collapse/remap) and every accessed-bit clear bumps a
-//! generation counter that invalidates the whole cache in O(1) — the
-//! invalidation contract callers would otherwise have to wire through
-//! each path by hand. Disable with
+//! The table embeds a small set-associative software translation cache of
+//! **huge regions** on the [`PageTable::access`] hot path, with an LRU
+//! clock per entry: one region entry satisfies all 512 constituent pages,
+//! so a promoted working set skips the `index → arena → chunk` lookup.
+//! Base pages are not cached — for them the dense index *is* the fast
+//! path, and a probe plus fill per access would cost more than it saves —
+//! and while the table has no huge mapping the probe is skipped outright.
+//! A cached entry may satisfy an access without touching the chunk only
+//! when doing so is invisible: the entry's accessed bit is known set, and
+//! (for writes) its dirty bit too, so the access would not change any
+//! table state. Every mutation (map/unmap/split/collapse/remap) and every
+//! accessed-bit clear bumps a generation counter that invalidates the
+//! whole cache in O(1) — the invalidation contract callers would
+//! otherwise have to wire through each path by hand. Disable with
 //! [`PageTable::set_translation_cache_enabled`] to differentially test
 //! that cached and uncached execution are bit-identical.
 
@@ -49,8 +51,9 @@ const REGION_PAGES: usize = 512;
 /// Bitmap words per region.
 const WORDS: usize = REGION_PAGES / 64;
 /// Translation-cache geometry: `TC_SETS` sets of `TC_WAYS` ways, indexed
-/// by the low bits of the page (base) or region (huge) number.
-const TC_SETS: usize = 512;
+/// by the low bits of the region number. 512 entries cover 1 GiB of huge
+/// mappings.
+const TC_SETS: usize = 128;
 /// Ways per translation-cache set (victims chosen by LRU clock).
 const TC_WAYS: usize = 4;
 
@@ -184,26 +187,23 @@ impl RegionChunk {
     }
 }
 
-/// One translation-cache entry. Valid iff `epoch` matches the table's
-/// current generation and `key` matches the lookup: base pages are keyed
-/// `vpn << 1`, huge regions `hvpn << 1 | 1` (one region entry serves all
-/// 512 constituent pages). `stamp` is the LRU clock value of the entry's
-/// last use; the lowest stamp in a set is the eviction victim.
+/// One translation-cache entry: a huge region. Valid iff `epoch` matches
+/// the table's current generation and `hvpn` matches the lookup. `stamp`
+/// is the LRU clock value of the entry's last use; the lowest stamp in a
+/// set is the eviction victim.
 #[derive(Debug, Clone, Copy)]
 struct TcEntry {
-    key: u64,
-    /// Base frame (huge entries store the region's first frame).
+    hvpn: u64,
+    /// The region's first frame.
     pfn: Pfn,
-    zero_cow: bool,
-    /// The underlying entry's dirty bit at insertion time (its accessed
-    /// bit is always set — insertion happens right after an access).
+    /// The huge entry's dirty bit at insertion time (its accessed bit is
+    /// always set — insertion happens right after an access).
     dirty: bool,
     epoch: u64,
     stamp: u64,
 }
 
-const TC_INVALID: TcEntry =
-    TcEntry { key: 0, pfn: Pfn(0), zero_cow: false, dirty: false, epoch: 0, stamp: 0 };
+const TC_INVALID: TcEntry = TcEntry { hvpn: 0, pfn: Pfn(0), dirty: false, epoch: 0, stamp: 0 };
 
 /// Mixed 4 KB / 2 MB page table.
 ///
@@ -381,27 +381,27 @@ impl PageTable {
         })
     }
 
-    /// Probes one translation-cache set for `key`; on hit, refreshes the
-    /// entry's LRU stamp and returns its (pfn, zero_cow, dirty).
+    /// Probes `hvpn`'s translation-cache set; on hit, refreshes the
+    /// entry's LRU stamp and returns its (region pfn, dirty).
     #[inline]
-    fn tc_lookup(&mut self, key: u64) -> Option<(Pfn, bool, bool)> {
-        let set = (key >> 1) as usize % TC_SETS * TC_WAYS;
+    fn tc_lookup(&mut self, hvpn: u64) -> Option<(Pfn, bool)> {
+        let set = hvpn as usize % TC_SETS * TC_WAYS;
         let epoch = self.epoch;
         self.tc_clock += 1;
         let stamp = self.tc_clock;
         for e in &mut self.cache[set..set + TC_WAYS] {
-            if e.epoch == epoch && e.key == key {
+            if e.epoch == epoch && e.hvpn == hvpn {
                 e.stamp = stamp;
-                return Some((e.pfn, e.zero_cow, e.dirty));
+                return Some((e.pfn, e.dirty));
             }
         }
         None
     }
 
-    /// Fills `key`'s set, evicting the stale or least-recently-used way.
+    /// Fills `hvpn`'s set, evicting the stale or least-recently-used way.
     #[inline]
-    fn tc_fill(&mut self, key: u64, pfn: Pfn, zero_cow: bool, dirty: bool) {
-        let set = (key >> 1) as usize % TC_SETS * TC_WAYS;
+    fn tc_fill(&mut self, hvpn: u64, pfn: Pfn, dirty: bool) {
+        let set = hvpn as usize % TC_SETS * TC_WAYS;
         let epoch = self.epoch;
         self.tc_clock += 1;
         let stamp = self.tc_clock;
@@ -412,7 +412,7 @@ impl PageTable {
             .min_by_key(|(_, e)| if e.epoch != epoch { 0 } else { e.stamp + 1 })
             .map(|(i, _)| i)
             .unwrap_or(0);
-        ways[victim] = TcEntry { key, pfn, zero_cow, dirty, epoch, stamp };
+        ways[victim] = TcEntry { hvpn, pfn, dirty, epoch, stamp };
     }
 
     /// Translates and records an access (sets accessed, and dirty on
@@ -422,23 +422,18 @@ impl PageTable {
     /// take a COW fault and replace the mapping.
     #[inline]
     pub fn access(&mut self, vpn: Vpn, write: bool) -> Option<Translation> {
-        if self.cache_enabled {
-            // A hit may bypass the chunk only when the access would be a
-            // no-op on table state: accessed already set (invariant of
-            // cached entries), dirty already set for writes, and not a
-            // zero-COW write (which must fault). Huge regions are probed
-            // first: one region entry covers all 512 pages.
-            if let Some((pfn, _, dirty)) = self.tc_lookup(vpn.hvpn().0 << 1 | 1) {
+        // Only huge regions are cached, so a table without one skips the
+        // probe. A hit may bypass the chunk only when the access would be
+        // a no-op on table state: accessed already set (invariant of
+        // cached entries) and dirty already set for writes.
+        if self.cache_enabled && self.huge_total != 0 {
+            if let Some((pfn, dirty)) = self.tc_lookup(vpn.hvpn().0) {
                 if !write || dirty {
                     return Some(Translation {
                         pfn: Pfn(pfn.0 + vpn.huge_offset()),
                         size: PageSize::Huge,
                         zero_cow: false,
                     });
-                }
-            } else if let Some((pfn, zero_cow, dirty)) = self.tc_lookup(vpn.0 << 1) {
-                if !write || (dirty && !zero_cow) {
-                    return Some(Translation { pfn, size: PageSize::Base, zero_cow });
                 }
             }
         }
@@ -452,15 +447,14 @@ impl PageTable {
             h.accessed = true;
             h.dirty |= write;
             let (pfn, dirty) = (h.pfn, h.dirty);
-            let t = Translation {
+            if cache_enabled {
+                self.tc_fill(vpn.hvpn().0, pfn, dirty);
+            }
+            return Some(Translation {
                 pfn: Pfn(pfn.0 + vpn.huge_offset()),
                 size: PageSize::Huge,
                 zero_cow: false,
-            };
-            if cache_enabled {
-                self.tc_fill(vpn.hvpn().0 << 1 | 1, pfn, false, dirty);
-            }
-            return Some(t);
+            });
         }
         let i = vpn.huge_offset() as usize;
         if !RegionChunk::bit(&c.mapped, i) {
@@ -474,12 +468,7 @@ impl PageTable {
         if write {
             RegionChunk::set(&mut c.dirty, i, true);
         }
-        let t = Translation { pfn: c.pfns[i], size: PageSize::Base, zero_cow };
-        let dirty = RegionChunk::bit(&c.dirty, i);
-        if cache_enabled {
-            self.tc_fill(vpn.0 << 1, t.pfn, zero_cow, dirty);
-        }
-        Some(t)
+        Some(Translation { pfn: c.pfns[i], size: PageSize::Base, zero_cow })
     }
 
     /// Looks up the base entry for `vpn`, if any.
@@ -1045,23 +1034,58 @@ mod tests {
         assert_eq!(t.pfn, Pfn(2048 + 7));
     }
 
+    /// Live cached regions of `set`, sorted.
+    fn cached_in_set(pt: &PageTable, set: usize) -> Vec<u64> {
+        let mut v: Vec<u64> = pt.cache[set * TC_WAYS..(set + 1) * TC_WAYS]
+            .iter()
+            .filter(|e| e.epoch == pt.epoch)
+            .map(|e| e.hvpn)
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
     #[test]
     fn cache_set_survives_conflict_churn() {
-        // More conflicting pages than one direct-mapped slot could hold:
-        // with TC_WAYS ways + LRU, a small working set of conflicting
-        // VPNs keeps hitting (correctness is unchanged either way; this
-        // pins the set-associative shape).
+        // More conflicting regions than one direct-mapped slot could hold:
+        // with TC_WAYS ways + LRU, a small working set of regions sharing
+        // set 0 stays resident, and one more region evicts the LRU way
+        // (correctness is unchanged either way; this pins the
+        // set-associative shape).
         let mut pt = PageTable::new();
         let stride = TC_SETS as u64; // same set index every time
-        for k in 0..3u64 {
-            pt.map_base(Vpn(k * stride), Pfn(100 + k), false).unwrap();
+        let ways = TC_WAYS as u64;
+        for k in 0..=ways {
+            pt.map_huge(Hvpn(k * stride), Pfn(512 * (k + 1))).unwrap();
         }
         for _ in 0..4 {
-            for k in 0..3u64 {
-                let t = pt.access(Vpn(k * stride), false).unwrap();
-                assert_eq!(t.pfn, Pfn(100 + k));
+            for k in 0..ways {
+                let t = pt.access(Hvpn(k * stride).vpn_at(k), false).unwrap();
+                assert_eq!((t.pfn, t.size), (Pfn(512 * (k + 1) + k), PageSize::Huge));
             }
         }
+        let resident: Vec<u64> = (0..ways).map(|k| k * stride).collect();
+        assert_eq!(cached_in_set(&pt, 0), resident);
+        // Region 0 was used least recently: the extra region replaces it.
+        let t = pt.access(Hvpn(ways * stride).base_vpn(), false).unwrap();
+        assert_eq!(t.pfn, Pfn(512 * (ways + 1)));
+        assert_eq!(cached_in_set(&pt, 0), (1..=ways).map(|k| k * stride).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn base_pages_are_never_cached() {
+        // Base accesses go to the chunk every time, with or without a
+        // huge mapping elsewhere in the table.
+        let mut pt = PageTable::new();
+        pt.map_base(Vpn(3), Pfn(30), false).unwrap();
+        pt.access(Vpn(3), true).unwrap();
+        pt.access(Vpn(3), false).unwrap();
+        assert!(pt.cache.iter().all(|e| e.epoch != pt.epoch), "base page cached");
+        pt.map_huge(Hvpn(1), Pfn(512)).unwrap();
+        pt.access(Vpn(3), false).unwrap();
+        pt.access(Vpn(512 + 5), false).unwrap();
+        assert_eq!(cached_in_set(&pt, 0), Vec::<u64>::new());
+        assert_eq!(cached_in_set(&pt, 1), vec![1]);
     }
 
     #[test]

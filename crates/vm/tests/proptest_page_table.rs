@@ -1,15 +1,28 @@
-//! Property-based tests for the mixed-granularity page table and address
+//! Property tests for the mixed-granularity page table and address
 //! space: random map/unmap/split/collapse/madvise sequences must keep the
 //! mapping bijective per VA, RSS accounting exact, and translations
 //! consistent.
+//!
+//! Inputs come from the in-tree `SplitMix64` with fixed seeds, one
+//! generator per case, so every run checks the same cases.
 
-// Requires the external `proptest` crate; see the crate's Cargo.toml for
-// how to re-enable. Default builds must work offline.
-#![cfg(feature = "proptest")]
+use hawkeye_mem::rng::SplitMix64;
 use hawkeye_mem::Pfn;
 use hawkeye_vm::{AddressSpace, Hvpn, PageSize, VmaKind, Vpn};
-use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Cases per property.
+const CASES: u64 = 96;
+
+/// The generator for case `case` of the property seeded `seed`.
+fn case_rng(seed: u64, case: u64) -> SplitMix64 {
+    SplitMix64::new(seed ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Uniform in `[lo, hi)`.
+fn range(rng: &mut SplitMix64, lo: u64, hi: u64) -> u64 {
+    lo + rng.below(hi - lo)
+}
 
 const REGIONS: u64 = 8;
 
@@ -23,16 +36,16 @@ enum Op {
     Access { slot: u64, write: bool },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn random_op(rng: &mut SplitMix64) -> Op {
     let pages = REGIONS * 512;
-    prop_oneof![
-        (0..pages).prop_map(|slot| Op::MapBase { slot }),
-        (0..REGIONS).prop_map(|region| Op::MapHuge { region }),
-        (0..pages).prop_map(|slot| Op::UnmapBase { slot }),
-        (0..REGIONS).prop_map(|region| Op::SplitHuge { region }),
-        (0..pages, 1u64..600).prop_map(|(start, len)| Op::Madvise { start, len }),
-        (0..pages, any::<bool>()).prop_map(|(slot, write)| Op::Access { slot, write }),
-    ]
+    match rng.below(6) {
+        0 => Op::MapBase { slot: rng.below(pages) },
+        1 => Op::MapHuge { region: rng.below(REGIONS) },
+        2 => Op::UnmapBase { slot: rng.below(pages) },
+        3 => Op::SplitHuge { region: rng.below(REGIONS) },
+        4 => Op::Madvise { start: rng.below(pages), len: range(rng, 1, 600) },
+        _ => Op::Access { slot: rng.below(pages), write: rng.below(2) == 1 },
+    }
 }
 
 /// A reference model: which base pages are resident, via which granularity.
@@ -48,11 +61,11 @@ impl Model {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn random_ops_agree_with_reference_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+#[test]
+fn random_ops_agree_with_reference_model() {
+    for case in 0..CASES {
+        let mut rng = case_rng(0x9A6E, case);
+        let ops: Vec<Op> = (0..range(&mut rng, 1, 200)).map(|_| random_op(&mut rng)).collect();
         let mut space = AddressSpace::new();
         space.mmap(Vpn(0), REGIONS * 512, VmaKind::Anon).unwrap();
         let mut model = Model::default();
@@ -67,7 +80,7 @@ proptest! {
                         || model.mapped.contains_key(&(slot / 512 * 512))
                             && model.mapped.get(&(slot / 512 * 512)).map(|m| m.1) == Some(true)
                     {
-                        prop_assert!(res.is_err(), "double map must fail at {vpn}");
+                        assert!(res.is_err(), "double map must fail at {vpn}");
                     } else if res.is_ok() {
                         model.mapped.insert(slot, (next_pfn, false));
                         next_pfn += 1;
@@ -77,11 +90,11 @@ proptest! {
                     let hvpn = Hvpn(region);
                     let base = region * 512;
                     let occupied = (base..base + 512).any(|v| model.mapped.contains_key(&v));
-                    let res = space.map_huge(hvpn, Pfn(next_pfn * 512 & !511));
+                    let res = space.map_huge(hvpn, Pfn((next_pfn * 512) & !511));
                     if occupied {
-                        prop_assert!(res.is_err(), "huge map over mappings must fail");
+                        assert!(res.is_err(), "huge map over mappings must fail");
                     } else if res.is_ok() {
-                        let hpfn = next_pfn * 512 & !511;
+                        let hpfn = (next_pfn * 512) & !511;
                         for i in 0..512 {
                             model.mapped.insert(base + i, (hpfn + i, true));
                         }
@@ -92,17 +105,17 @@ proptest! {
                     let res = space.unmap_base(Vpn(slot));
                     match model.mapped.get(&slot) {
                         Some((_, false)) => {
-                            prop_assert!(res.is_ok());
+                            assert!(res.is_ok());
                             model.mapped.remove(&slot);
                         }
-                        _ => prop_assert!(res.is_err(), "unmap of {slot} must fail"),
+                        _ => assert!(res.is_err(), "unmap of {slot} must fail"),
                     }
                 }
                 Op::SplitHuge { region } => {
                     let base = region * 512;
                     let is_huge = model.mapped.get(&base).map(|m| m.1) == Some(true);
                     let res = space.split_huge(Hvpn(region));
-                    prop_assert_eq!(res.is_ok(), is_huge);
+                    assert_eq!(res.is_ok(), is_huge);
                     if is_huge {
                         for i in 0..512 {
                             if let Some(e) = model.mapped.get_mut(&(base + i)) {
@@ -123,10 +136,10 @@ proptest! {
                     }
                     let got: u64 =
                         freed.iter().map(|f| f.size.base_pages()).sum();
-                    prop_assert_eq!(got, expect, "madvise released wrong amount");
+                    assert_eq!(got, expect, "madvise released wrong amount");
                     // Straddled huge mappings were split: sync the model's
                     // granularity flags (contents unchanged).
-                    for v in (start / 512 * 512)..((end + 511) / 512 * 512).min(REGIONS * 512) {
+                    for v in (start / 512 * 512)..(end.div_ceil(512) * 512).min(REGIONS * 512) {
                         if let Some(e) = model.mapped.get_mut(&v) {
                             if space.page_table().huge_entry(Vpn(v).hvpn()).is_none() {
                                 e.1 = false;
@@ -139,22 +152,28 @@ proptest! {
                     match model.mapped.get(&slot) {
                         Some((pfn, huge)) => {
                             let t = t.expect("mapped page must translate");
-                            prop_assert_eq!(t.pfn.0, *pfn);
-                            prop_assert_eq!(t.size == PageSize::Huge, *huge);
+                            assert_eq!(t.pfn.0, *pfn);
+                            assert_eq!(t.size == PageSize::Huge, *huge);
                         }
-                        None => prop_assert!(t.is_none(), "unmapped page translated"),
+                        None => assert!(t.is_none(), "unmapped page translated"),
                     }
                 }
             }
             // Global invariant: RSS matches the model exactly.
-            prop_assert_eq!(space.rss_pages(), model.rss());
+            assert_eq!(space.rss_pages(), model.rss());
         }
     }
+}
 
-    #[test]
-    fn sampling_counts_match_recent_accesses(
-        touched in proptest::collection::btree_set(0u64..512, 0..200),
-    ) {
+#[test]
+fn sampling_counts_match_recent_accesses() {
+    for case in 0..CASES {
+        let mut rng = case_rng(0x5A3B, case);
+        let want = range(&mut rng, 0, 200) as usize;
+        let mut touched = BTreeSet::new();
+        while touched.len() < want {
+            touched.insert(rng.below(512));
+        }
         let mut space = AddressSpace::new();
         space.mmap(Vpn(0), 512, VmaKind::Anon).unwrap();
         for v in 0..512u64 {
@@ -166,10 +185,10 @@ proptest! {
             space.access(Vpn(*v), false).unwrap();
         }
         let s = space.sample_and_clear_access(Hvpn(0));
-        prop_assert_eq!(s.mapped, 512);
-        prop_assert_eq!(s.accessed as usize, touched.len());
+        assert_eq!(s.mapped, 512);
+        assert_eq!(s.accessed as usize, touched.len());
         // And the bits were cleared by the sample.
         let s2 = space.sample_and_clear_access(Hvpn(0));
-        prop_assert_eq!(s2.accessed, 0);
+        assert_eq!(s2.accessed, 0);
     }
 }

@@ -52,6 +52,17 @@ cargo test -p hawkeye-report --lib -q
 echo "==> serial-vs-multicore differential gate (counter-based)"
 cargo test --release -p hawkeye-kernel --test multicore_diff -q
 
+# Exactness gates in release: the fast path (touch executor, streaks,
+# translation cache) against per-access modeling, the page table with
+# and without its translation cache, and the sentinel TLB sets against
+# the Vec+length reference. Tier-1 runs them in debug, where
+# `insert_absent`'s stale-victim `debug_assert!` is live; release checks
+# the code that actually ships, with the debug assertions compiled out.
+echo "==> exactness gates in release (fast path, translation cache, TLB oracle)"
+cargo test --release -p hawkeye-kernel --test diff_fast_path -q
+cargo test --release -p hawkeye-vm --test diff_translation_cache -q
+cargo test --release -p hawkeye-tlb --lib matches_vec_and_len_reference -q
+
 # Docs-drift gate: the target and check counts stated in README.md and
 # EXPERIMENTS.md must agree with the registry (hawkeye-report --counts).
 echo "==> docs-drift gate (README/EXPERIMENTS counts vs registry)"
