@@ -96,9 +96,8 @@ pub struct KernelConfig {
     pub max_time: Cycles,
     /// Cost model.
     pub costs: CostModel,
-    /// Enable the simulator's fast path: the per-process translation
-    /// cache and batched `TouchRange`/`TouchList` execution. The fast
-    /// path is exact — every counter is bit-identical with it off — so
+    /// Enable the simulator's fast path: batched `TouchRange`/`TouchList`
+    /// execution. The fast path is exact — every counter is bit-identical with it off — so
     /// this switch exists only for differential testing.
     pub fast_path: bool,
     /// Simulated cores (1–8). At 1 (the default) the machine is the

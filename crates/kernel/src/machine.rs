@@ -261,11 +261,7 @@ impl Machine {
     pub fn spawn(&mut self, workload: Box<dyn Workload>) -> u32 {
         let pid = self.next_pid;
         self.next_pid += 1;
-        let mut p = Process::new(pid, workload);
-        p.space_mut()
-            .page_table_mut()
-            .set_translation_cache_enabled(self.config.fast_path);
-        self.processes.insert(pid, p);
+        self.processes.insert(pid, Process::new(pid, workload));
         pid
     }
 

@@ -1,8 +1,7 @@
 //! Differential test for the simulator fast path.
 //!
-//! Runs the same workload/policy pair twice — `fast_path` on (translation
-//! cache + batched touch streaks) and off (per-access modeling all the
-//! way) — and asserts every observable is bit-identical: per-process
+//! Runs the same workload/policy pair twice — `fast_path` on (batched
+//! touch streaks) and off (per-access modeling all the way) — and asserts every observable is bit-identical: per-process
 //! stats, kernel stats, lifetime PMU counters, total walks, final
 //! translations, frame contents, and simulated time. The fast path is an
 //! optimization, not an approximation.

@@ -1,47 +1,61 @@
-//! Property-based tests for the buddy allocator and compactor.
+//! Property tests for the buddy allocator and compactor.
 //!
 //! Random interleavings of alloc / dirty / free / pre-zero / compact must
 //! preserve the allocator's structural invariants, never hand out
 //! overlapping blocks, and conserve pages exactly.
+//!
+//! Inputs come from the in-tree `SplitMix64` with fixed seeds, one
+//! generator per case, so every run checks the same cases.
 
-// Requires the external `proptest` crate; see the crate's Cargo.toml for
-// how to re-enable. Default builds must work offline.
-#![cfg(feature = "proptest")]
-use hawkeye_mem::{
-    compact::compact, AllocPref, Order, PageContent, Pfn, PhysMemory, MAX_ORDER,
-};
-use proptest::prelude::*;
+use hawkeye_mem::rng::SplitMix64;
+use hawkeye_mem::{compact::compact, AllocPref, Order, PageContent, Pfn, PhysMemory, MAX_ORDER};
 
 const FRAMES: u64 = 4096;
+
+/// Cases per property.
+const CASES: u64 = 64;
+
+/// The generator for case `case` of the property seeded `seed`.
+fn case_rng(seed: u64, case: u64) -> SplitMix64 {
+    SplitMix64::new(seed ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Uniform in `[lo, hi)`.
+fn range(rng: &mut SplitMix64, lo: u64, hi: u64) -> u64 {
+    lo + rng.below(hi - lo)
+}
 
 #[derive(Debug, Clone)]
 enum Op {
     Alloc { order: u8, zeroed: bool },
     Free { slot: usize },
     Dirty { slot: usize, offset: u16 },
-    Prezero { budget: u16 },
-    Compact { budget: u16 },
+    Prezero { budget: u64 },
+    Compact { budget: u64 },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u8..=MAX_ORDER.0, any::<bool>()).prop_map(|(order, zeroed)| Op::Alloc { order, zeroed }),
-        (any::<usize>()).prop_map(|slot| Op::Free { slot }),
-        (any::<usize>(), 0u16..4096).prop_map(|(slot, offset)| Op::Dirty { slot, offset }),
-        (0u16..2048).prop_map(|budget| Op::Prezero { budget }),
-        (0u16..512).prop_map(|budget| Op::Compact { budget }),
-    ]
+fn random_op(rng: &mut SplitMix64) -> Op {
+    match rng.below(5) {
+        0 => Op::Alloc {
+            order: rng.below(u64::from(MAX_ORDER.0) + 1) as u8,
+            zeroed: rng.below(2) == 1,
+        },
+        1 => Op::Free { slot: rng.next_u64() as usize },
+        2 => Op::Dirty { slot: rng.next_u64() as usize, offset: rng.below(4096) as u16 },
+        3 => Op::Prezero { budget: rng.below(2048) },
+        _ => Op::Compact { budget: rng.below(512) },
+    }
 }
 
 fn overlaps(a: (u64, u64), b: (u64, u64)) -> bool {
     a.0 < b.1 && b.0 < a.1
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn random_ops_preserve_invariants(ops in proptest::collection::vec(op_strategy(), 1..120)) {
+#[test]
+fn random_ops_preserve_invariants() {
+    for case in 0..CASES {
+        let mut rng = case_rng(0xB0DD, case);
+        let ops: Vec<Op> = (0..range(&mut rng, 1, 120)).map(|_| random_op(&mut rng)).collect();
         let mut pm = PhysMemory::new(FRAMES);
         let mut live: Vec<(Pfn, Order)> = Vec::new();
         for op in ops {
@@ -50,17 +64,19 @@ proptest! {
                     let pref = if zeroed { AllocPref::Zeroed } else { AllocPref::NonZeroed };
                     if let Ok(a) = pm.alloc(Order(order), pref) {
                         // aligned & in-range
-                        prop_assert!(a.pfn.is_aligned(a.order));
-                        prop_assert!(a.pfn.0 + a.order.pages() <= FRAMES);
+                        assert!(a.pfn.is_aligned(a.order));
+                        assert!(a.pfn.0 + a.order.pages() <= FRAMES);
                         // zero promise honored
                         if a.was_zeroed {
-                            prop_assert!(pm.block_is_zeroed(a.pfn, a.order));
+                            assert!(pm.block_is_zeroed(a.pfn, a.order));
                         }
                         // disjoint from every live allocation
                         let range = (a.pfn.0, a.pfn.0 + a.order.pages());
                         for (p, o) in &live {
-                            prop_assert!(!overlaps(range, (p.0, p.0 + o.pages())),
-                                "allocator returned overlapping block");
+                            assert!(
+                                !overlaps(range, (p.0, p.0 + o.pages())),
+                                "allocator returned overlapping block"
+                            );
                         }
                         live.push((a.pfn, a.order));
                     }
@@ -80,45 +96,45 @@ proptest! {
                     }
                 }
                 Op::Prezero { budget } => {
-                    let z = pm.prezero_step(budget as u64);
-                    prop_assert!(z <= budget as u64);
+                    let z = pm.prezero_step(budget);
+                    assert!(z <= budget);
                 }
                 Op::Compact { budget } => {
-                    // Compaction must not touch owned blocks: our live blocks
-                    // have no owner and are movable, so vetoing them keeps
-                    // them in place. Veto everything not ours as well.
-                    let stats = compact(&mut pm, budget as u64, |_, _, _| false);
-                    prop_assert_eq!(stats.migrated_pages, 0);
+                    // Vetoing every migration keeps the live blocks in
+                    // place, so nothing may move.
+                    let stats = compact(&mut pm, budget, |_, _, _| false);
+                    assert_eq!(stats.migrated_pages, 0);
                 }
             }
             // Page conservation.
             let live_pages: u64 = live.iter().map(|(_, o)| o.pages()).sum();
-            prop_assert_eq!(pm.allocated_pages(), live_pages);
-            prop_assert!(pm.zeroed_free_pages() <= pm.free_pages());
+            assert_eq!(pm.allocated_pages(), live_pages);
+            assert!(pm.zeroed_free_pages() <= pm.free_pages());
         }
         pm.check_invariants();
         // Freeing everything restores a fully-free system.
         for (pfn, order) in live.drain(..) {
             pm.free(pfn, order);
         }
-        prop_assert_eq!(pm.free_pages(), FRAMES);
+        assert_eq!(pm.free_pages(), FRAMES);
         pm.check_invariants();
     }
+}
 
-    #[test]
-    fn prezero_converges_to_fully_zeroed(dirties in proptest::collection::vec((0u64..FRAMES, 0u16..4096), 0..64)) {
+#[test]
+fn prezero_converges_to_fully_zeroed() {
+    for case in 0..CASES {
+        let mut rng = case_rng(0x2E50, case);
+        let dirties: Vec<(u64, u16)> = (0..range(&mut rng, 0, 64))
+            .map(|_| (rng.below(FRAMES), rng.below(4096) as u16))
+            .collect();
         let mut pm = PhysMemory::new(FRAMES);
         // Allocate everything, dirty random pages, free everything.
-        let a = loop {
-            match pm.alloc(MAX_ORDER, AllocPref::Zeroed) {
-                Ok(a) => break a, // first block; grab the rest below
-                Err(_) => unreachable!(),
-            }
-        };
-        let mut blocks = vec![a];
+        let mut blocks = Vec::new();
         while let Ok(b) = pm.alloc(MAX_ORDER, AllocPref::Zeroed) {
             blocks.push(b);
         }
+        assert_eq!(blocks.len() as u64, FRAMES / MAX_ORDER.pages());
         for (pfn, off) in &dirties {
             pm.frame_mut(Pfn(*pfn)).set_content(PageContent::non_zero(*off));
         }
@@ -129,19 +145,21 @@ proptest! {
         let mut guard = 0;
         while pm.prezero_step(97) > 0 {
             guard += 1;
-            prop_assert!(guard < 10_000, "pre-zeroing failed to converge");
+            assert!(guard < 10_000, "pre-zeroing failed to converge");
         }
-        prop_assert_eq!(pm.zeroed_free_pages(), FRAMES);
+        assert_eq!(pm.zeroed_free_pages(), FRAMES);
         // And the zero pool re-merges into max-order blocks.
-        prop_assert_eq!(pm.zeroed_blocks(MAX_ORDER), FRAMES / MAX_ORDER.pages());
+        assert_eq!(pm.zeroed_blocks(MAX_ORDER), FRAMES / MAX_ORDER.pages());
         pm.check_invariants();
     }
+}
 
-    #[test]
-    fn compaction_with_permissive_migration_never_loses_pages(
-        keep_mod in 3u64..64,
-        budget in 0u64..4096,
-    ) {
+#[test]
+fn compaction_with_permissive_migration_never_loses_pages() {
+    for case in 0..CASES {
+        let mut rng = case_rng(0xC0A7, case);
+        let keep_mod = range(&mut rng, 3, 64);
+        let budget = rng.below(4096);
         let mut pm = PhysMemory::new(FRAMES);
         let mut live = Vec::new();
         while let Ok(a) = pm.alloc(Order(0), AllocPref::Zeroed) {
@@ -156,12 +174,11 @@ proptest! {
                 pm.free(pfn, Order(0));
             }
         }
-        let before_alloc = pm.allocated_pages();
-        prop_assert_eq!(before_alloc, kept);
+        assert_eq!(pm.allocated_pages(), kept);
         let stats = compact(&mut pm, budget, |_, _, _| true);
-        prop_assert!(stats.migrated_pages <= budget);
+        assert!(stats.migrated_pages <= budget);
         // Allocated page count is unchanged: migration moves, never drops.
-        prop_assert_eq!(pm.allocated_pages(), kept);
+        assert_eq!(pm.allocated_pages(), kept);
         pm.check_invariants();
     }
 }

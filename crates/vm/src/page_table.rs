@@ -23,24 +23,13 @@
 //! A region has a chunk iff it has at least one mapping; VA-ordered
 //! iteration scans the index, so region scans remain deterministic.
 //!
-//! # Translation cache
+//! # One translation path
 //!
-//! The table embeds a small set-associative software translation cache of
-//! **huge regions** on the [`PageTable::access`] hot path, with an LRU
-//! clock per entry: one region entry satisfies all 512 constituent pages,
-//! so a promoted working set skips the `index → arena → chunk` lookup.
-//! Base pages are not cached — for them the dense index *is* the fast
-//! path, and a probe plus fill per access would cost more than it saves —
-//! and while the table has no huge mapping the probe is skipped outright.
-//! A cached entry may satisfy an access without touching the chunk only
-//! when doing so is invisible: the entry's accessed bit is known set, and
-//! (for writes) its dirty bit too, so the access would not change any
-//! table state. Every mutation (map/unmap/split/collapse/remap) and every
-//! accessed-bit clear bumps a generation counter that invalidates the
-//! whole cache in O(1) — the invalidation contract callers would
-//! otherwise have to wire through each path by hand. Disable with
-//! [`PageTable::set_translation_cache_enabled`] to differentially test
-//! that cached and uncached execution are bit-identical.
+//! [`PageTable::access`] always goes `index → arena → chunk` and updates
+//! the chunk's bits in place. The dense index is already one array load
+//! per access, and a cache in front of it would have to be invalidated by
+//! every mutation and every accessed-bit clear to keep HawkEye's coverage
+//! samples exact (DESIGN.md §8 has the measurements).
 
 use crate::error::MapError;
 use crate::types::{Hvpn, PageSize, Vpn};
@@ -50,12 +39,6 @@ use hawkeye_mem::Pfn;
 const REGION_PAGES: usize = 512;
 /// Bitmap words per region.
 const WORDS: usize = REGION_PAGES / 64;
-/// Translation-cache geometry: `TC_SETS` sets of `TC_WAYS` ways, indexed
-/// by the low bits of the region number. 512 entries cover 1 GiB of huge
-/// mappings.
-const TC_SETS: usize = 128;
-/// Ways per translation-cache set (victims chosen by LRU clock).
-const TC_WAYS: usize = 4;
 
 /// A 4 KB page-table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,24 +170,6 @@ impl RegionChunk {
     }
 }
 
-/// One translation-cache entry: a huge region. Valid iff `epoch` matches
-/// the table's current generation and `hvpn` matches the lookup. `stamp`
-/// is the LRU clock value of the entry's last use; the lowest stamp in a
-/// set is the eviction victim.
-#[derive(Debug, Clone, Copy)]
-struct TcEntry {
-    hvpn: u64,
-    /// The region's first frame.
-    pfn: Pfn,
-    /// The huge entry's dirty bit at insertion time (its accessed bit is
-    /// always set — insertion happens right after an access).
-    dirty: bool,
-    epoch: u64,
-    stamp: u64,
-}
-
-const TC_INVALID: TcEntry = TcEntry { hvpn: 0, pfn: Pfn(0), dirty: false, epoch: 0, stamp: 0 };
-
 /// Mixed 4 KB / 2 MB page table.
 ///
 /// # Examples
@@ -222,7 +187,7 @@ const TC_INVALID: TcEntry = TcEntry { hvpn: 0, pfn: Pfn(0), dirty: false, epoch:
 /// assert_eq!(t.pfn, Pfn(512 + 7));
 /// # Ok::<(), hawkeye_vm::MapError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PageTable {
     /// Chunk arena; slots are recycled through `free`.
     arena: Vec<RegionChunk>,
@@ -232,29 +197,6 @@ pub struct PageTable {
     index: Vec<u32>,
     base_total: u64,
     huge_total: u64,
-    /// Translation generation; bumped on any mutation or accessed-bit
-    /// clear, invalidating every cache slot at once.
-    epoch: u64,
-    cache_enabled: bool,
-    cache: Vec<TcEntry>,
-    /// LRU clock for the translation cache (monotonic per table).
-    tc_clock: u64,
-}
-
-impl Default for PageTable {
-    fn default() -> Self {
-        PageTable {
-            arena: Vec::new(),
-            free: Vec::new(),
-            index: Vec::new(),
-            base_total: 0,
-            huge_total: 0,
-            epoch: 1,
-            cache_enabled: true,
-            cache: vec![TC_INVALID; TC_SETS * TC_WAYS],
-            tc_clock: 0,
-        }
-    }
 }
 
 impl PageTable {
@@ -263,22 +205,10 @@ impl PageTable {
         Self::default()
     }
 
-    /// Enables or disables the embedded translation cache. Execution must
-    /// be bit-identical either way; the switch exists for differential
-    /// testing and debugging.
-    pub fn set_translation_cache_enabled(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-    }
-
-    /// Whether the translation cache is consulted on the access path.
-    pub fn translation_cache_enabled(&self) -> bool {
-        self.cache_enabled
-    }
-
-    #[inline]
-    fn invalidate_cache(&mut self) {
-        self.epoch += 1;
-    }
+    /// Does nothing: the table has no translation cache left to switch.
+    /// Kept only because the standalone `perf/` benchmark still calls it;
+    /// it goes when `perf/` moves off the old paths.
+    pub fn set_translation_cache_enabled(&mut self, _enabled: bool) {}
 
     /// Arena chunk for `hvpn`, if the region has any mapping.
     #[inline]
@@ -381,40 +311,6 @@ impl PageTable {
         })
     }
 
-    /// Probes `hvpn`'s translation-cache set; on hit, refreshes the
-    /// entry's LRU stamp and returns its (region pfn, dirty).
-    #[inline]
-    fn tc_lookup(&mut self, hvpn: u64) -> Option<(Pfn, bool)> {
-        let set = hvpn as usize % TC_SETS * TC_WAYS;
-        let epoch = self.epoch;
-        self.tc_clock += 1;
-        let stamp = self.tc_clock;
-        for e in &mut self.cache[set..set + TC_WAYS] {
-            if e.epoch == epoch && e.hvpn == hvpn {
-                e.stamp = stamp;
-                return Some((e.pfn, e.dirty));
-            }
-        }
-        None
-    }
-
-    /// Fills `hvpn`'s set, evicting the stale or least-recently-used way.
-    #[inline]
-    fn tc_fill(&mut self, hvpn: u64, pfn: Pfn, dirty: bool) {
-        let set = hvpn as usize % TC_SETS * TC_WAYS;
-        let epoch = self.epoch;
-        self.tc_clock += 1;
-        let stamp = self.tc_clock;
-        let ways = &mut self.cache[set..set + TC_WAYS];
-        let victim = ways
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| if e.epoch != epoch { 0 } else { e.stamp + 1 })
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        ways[victim] = TcEntry { hvpn, pfn, dirty, epoch, stamp };
-    }
-
     /// Translates and records an access (sets accessed, and dirty on
     /// writes). Returns `None` when unmapped — the caller takes a fault.
     ///
@@ -422,36 +318,12 @@ impl PageTable {
     /// take a COW fault and replace the mapping.
     #[inline]
     pub fn access(&mut self, vpn: Vpn, write: bool) -> Option<Translation> {
-        // Only huge regions are cached, so a table without one skips the
-        // probe. A hit may bypass the chunk only when the access would be
-        // a no-op on table state: accessed already set (invariant of
-        // cached entries) and dirty already set for writes.
-        if self.cache_enabled && self.huge_total != 0 {
-            if let Some((pfn, dirty)) = self.tc_lookup(vpn.hvpn().0) {
-                if !write || dirty {
-                    return Some(Translation {
-                        pfn: Pfn(pfn.0 + vpn.huge_offset()),
-                        size: PageSize::Huge,
-                        zero_cow: false,
-                    });
-                }
-            }
-        }
-        self.access_slow(vpn, write)
-    }
-
-    fn access_slow(&mut self, vpn: Vpn, write: bool) -> Option<Translation> {
-        let cache_enabled = self.cache_enabled;
         let c = self.chunk_mut(vpn.hvpn())?;
         if let Some(h) = &mut c.huge {
             h.accessed = true;
             h.dirty |= write;
-            let (pfn, dirty) = (h.pfn, h.dirty);
-            if cache_enabled {
-                self.tc_fill(vpn.hvpn().0, pfn, dirty);
-            }
             return Some(Translation {
-                pfn: Pfn(pfn.0 + vpn.huge_offset()),
+                pfn: Pfn(h.pfn.0 + vpn.huge_offset()),
                 size: PageSize::Huge,
                 zero_cow: false,
             });
@@ -502,7 +374,6 @@ impl PageTable {
         c.pfns[i] = pfn;
         c.mapped_count += 1;
         self.base_total += 1;
-        self.invalidate_cache();
         Ok(())
     }
 
@@ -525,7 +396,6 @@ impl PageTable {
         let c = self.chunk_or_insert(hvpn);
         c.huge = Some(HugeEntry { pfn, accessed: false, dirty: false });
         self.huge_total += 1;
-        self.invalidate_cache();
         Ok(())
     }
 
@@ -546,7 +416,6 @@ impl PageTable {
         c.mapped_count -= 1;
         self.release_if_empty(hvpn);
         self.base_total -= 1;
-        self.invalidate_cache();
         Ok(e)
     }
 
@@ -560,7 +429,6 @@ impl PageTable {
         let e = c.huge.take().ok_or(MapError::NotMapped { vpn: hvpn.base_vpn() })?;
         self.release_if_empty(hvpn);
         self.huge_total -= 1;
-        self.invalidate_cache();
         Ok(e)
     }
 
@@ -584,7 +452,6 @@ impl PageTable {
         }
         self.huge_total -= 1;
         self.base_total += REGION_PAGES as u64;
-        self.invalidate_cache();
         Ok(entry)
     }
 
@@ -614,7 +481,6 @@ impl PageTable {
         c.mapped_count = 0;
         self.base_total -= count as u64;
         self.release_if_empty(hvpn);
-        self.invalidate_cache();
     }
 
     /// Removes every base entry with `start <= vpn < end`, feeding each
@@ -631,7 +497,6 @@ impl PageTable {
         }
         let hstart = start.hvpn().0;
         let hend = Vpn(end.0 - 1).hvpn().0;
-        let mut removed_any = false;
         for h in hstart..=hend {
             let hvpn = Hvpn(h);
             let Some(c) = self.chunk_mut(hvpn) else { continue };
@@ -652,11 +517,7 @@ impl PageTable {
                 f(hvpn.vpn_at(i as u64), e);
             }
             self.base_total -= removed;
-            removed_any |= removed > 0;
             self.release_if_empty(hvpn);
-        }
-        if removed_any {
-            self.invalidate_cache();
         }
     }
 
@@ -684,8 +545,6 @@ impl PageTable {
             c.accessed = [0; WORDS];
             AccessSample { mapped: c.mapped_count, accessed, is_huge: false }
         };
-        // Cached entries assume their accessed bit is still set.
-        self.invalidate_cache();
         s
     }
 
@@ -698,7 +557,6 @@ impl PageTable {
         } else {
             c.accessed = [0; WORDS];
         }
-        self.invalidate_cache();
     }
 
     /// Iterates all huge mappings in VA order.
@@ -767,7 +625,6 @@ impl PageTable {
         }
         debug_assert!(c.huge.is_none(), "base entry inside a huge region");
         c.pfns[i] = dst;
-        self.invalidate_cache();
         true
     }
 }
@@ -860,7 +717,7 @@ mod tests {
         // Reads succeed.
         let t = pt.access(Vpn(7), false).unwrap();
         assert!(t.zero_cow);
-        // Writes demand a COW fault — including via a fresh cached entry.
+        // Writes demand a COW fault, also right after a read.
         assert!(pt.access(Vpn(7), true).is_none());
         // Kernel resolves the fault by remapping.
         pt.unmap_base(Vpn(7)).unwrap();
@@ -965,38 +822,12 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_skip_nothing_observable() {
-        // Same access sequence with the cache on and off must produce
-        // identical translations and leave identical table state.
-        let mut on = PageTable::new();
-        let mut off = PageTable::new();
-        off.set_translation_cache_enabled(false);
-        for pt in [&mut on, &mut off] {
-            pt.map_base(Vpn(1), Pfn(11), false).unwrap();
-            pt.map_base(Vpn(2), Pfn(12), true).unwrap();
-            pt.map_huge(Hvpn(1), Pfn(1024)).unwrap();
-        }
-        let seq: Vec<(u64, bool)> =
-            vec![(1, false), (1, false), (1, true), (1, true), (2, false), (2, false), (600, true), (600, false), (3, false)];
-        for (v, w) in seq {
-            assert_eq!(on.access(Vpn(v), w), off.access(Vpn(v), w), "vpn {v} write {w}");
-        }
-        for v in [1u64, 2, 600] {
-            assert_eq!(on.base_entry(Vpn(v)), off.base_entry(Vpn(v)));
-        }
-        assert_eq!(
-            on.sample_and_clear_access(Hvpn(0)),
-            off.sample_and_clear_access(Hvpn(0))
-        );
-    }
-
-    #[test]
-    fn cache_invalidated_by_mutations() {
+    fn no_translation_after_unmap() {
         let mut pt = PageTable::new();
         pt.map_base(Vpn(9), Pfn(1), false).unwrap();
-        pt.access(Vpn(9), true).unwrap(); // populates the cache
+        pt.access(Vpn(9), true).unwrap();
         pt.unmap_base(Vpn(9)).unwrap();
-        assert!(pt.access(Vpn(9), true).is_none(), "stale cache entry survived unmap");
+        assert!(pt.access(Vpn(9), true).is_none(), "unmapped page translated");
         pt.map_base(Vpn(9), Pfn(2), false).unwrap();
         assert_eq!(pt.access(Vpn(9), false).unwrap().pfn, Pfn(2));
         assert!(pt.migrate_base(Vpn(9), Pfn(2), Pfn(3)));
@@ -1004,88 +835,33 @@ mod tests {
     }
 
     #[test]
-    fn cache_invalidated_by_sampling() {
-        // After a sample clears accessed bits, a cached hit must not skip
-        // re-setting them.
+    fn accessed_bit_set_again_after_sampling() {
+        // After a sample clears accessed bits, the next access sets them
+        // again.
         let mut pt = PageTable::new();
         pt.map_base(Vpn(4), Pfn(1), false).unwrap();
         pt.access(Vpn(4), false).unwrap();
         assert_eq!(pt.sample_and_clear_access(Hvpn(0)).accessed, 1);
         pt.access(Vpn(4), false).unwrap();
-        assert!(pt.base_entry(Vpn(4)).unwrap().accessed, "accessed bit lost to stale cache");
+        assert!(pt.base_entry(Vpn(4)).unwrap().accessed, "accessed bit not set again");
         pt.clear_region_access(Hvpn(0));
         pt.access(Vpn(4), false).unwrap();
         assert_eq!(pt.sample_and_clear_access(Hvpn(0)).accessed, 1);
     }
 
     #[test]
-    fn cached_huge_region_entry_serves_sibling_pages() {
-        // One access to a huge region caches a region-grained entry; a
-        // different page of the same region must still set no bits twice
-        // and translate with the right per-page frame.
+    fn huge_region_siblings_translate_at_their_offset() {
+        // Every page of a huge region translates to the region frame plus
+        // its own offset.
         let mut pt = PageTable::new();
         pt.map_huge(Hvpn(4), Pfn(2048)).unwrap();
         pt.access(Vpn(4 * 512), true).unwrap();
         let t = pt.access(Vpn(4 * 512 + 99), false).unwrap();
         assert_eq!(t.pfn, Pfn(2048 + 99));
         assert_eq!(t.size, PageSize::Huge);
-        // A write through the cached region entry (dirty already set).
+        // A write to a region whose dirty bit is already set.
         let t = pt.access(Vpn(4 * 512 + 7), true).unwrap();
         assert_eq!(t.pfn, Pfn(2048 + 7));
-    }
-
-    /// Live cached regions of `set`, sorted.
-    fn cached_in_set(pt: &PageTable, set: usize) -> Vec<u64> {
-        let mut v: Vec<u64> = pt.cache[set * TC_WAYS..(set + 1) * TC_WAYS]
-            .iter()
-            .filter(|e| e.epoch == pt.epoch)
-            .map(|e| e.hvpn)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    #[test]
-    fn cache_set_survives_conflict_churn() {
-        // More conflicting regions than one direct-mapped slot could hold:
-        // with TC_WAYS ways + LRU, a small working set of regions sharing
-        // set 0 stays resident, and one more region evicts the LRU way
-        // (correctness is unchanged either way; this pins the
-        // set-associative shape).
-        let mut pt = PageTable::new();
-        let stride = TC_SETS as u64; // same set index every time
-        let ways = TC_WAYS as u64;
-        for k in 0..=ways {
-            pt.map_huge(Hvpn(k * stride), Pfn(512 * (k + 1))).unwrap();
-        }
-        for _ in 0..4 {
-            for k in 0..ways {
-                let t = pt.access(Hvpn(k * stride).vpn_at(k), false).unwrap();
-                assert_eq!((t.pfn, t.size), (Pfn(512 * (k + 1) + k), PageSize::Huge));
-            }
-        }
-        let resident: Vec<u64> = (0..ways).map(|k| k * stride).collect();
-        assert_eq!(cached_in_set(&pt, 0), resident);
-        // Region 0 was used least recently: the extra region replaces it.
-        let t = pt.access(Hvpn(ways * stride).base_vpn(), false).unwrap();
-        assert_eq!(t.pfn, Pfn(512 * (ways + 1)));
-        assert_eq!(cached_in_set(&pt, 0), (1..=ways).map(|k| k * stride).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn base_pages_are_never_cached() {
-        // Base accesses go to the chunk every time, with or without a
-        // huge mapping elsewhere in the table.
-        let mut pt = PageTable::new();
-        pt.map_base(Vpn(3), Pfn(30), false).unwrap();
-        pt.access(Vpn(3), true).unwrap();
-        pt.access(Vpn(3), false).unwrap();
-        assert!(pt.cache.iter().all(|e| e.epoch != pt.epoch), "base page cached");
-        pt.map_huge(Hvpn(1), Pfn(512)).unwrap();
-        pt.access(Vpn(3), false).unwrap();
-        pt.access(Vpn(512 + 5), false).unwrap();
-        assert_eq!(cached_in_set(&pt, 0), Vec::<u64>::new());
-        assert_eq!(cached_in_set(&pt, 1), vec![1]);
     }
 
     #[test]
