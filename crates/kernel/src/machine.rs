@@ -357,7 +357,7 @@ impl Machine {
 
     fn finish_map_base(&mut self, pid: u32, vpn: Vpn, pfn: Pfn) {
         self.pm.set_kind(pfn, FrameKind::Anon);
-        self.pm.frame_mut(pfn).set_owner(Some(OwnerTag { pid, vpn: vpn.0 }));
+        self.pm.set_owner(pfn, Some(OwnerTag { pid, vpn: vpn.0 }));
         self.pm.set_movable(pfn, true);
         let p = self.processes.get_mut(&pid).expect("faulting process exists");
         p.space_mut().map_base(vpn, pfn).expect("fault target is valid and unmapped");
@@ -408,7 +408,7 @@ impl Machine {
         for i in 0..512u64 {
             let pfn = Pfn(base_pfn.0 + i);
             self.pm.set_kind(pfn, FrameKind::Anon);
-            self.pm.frame_mut(pfn).set_owner(Some(OwnerTag { pid, vpn: hvpn.vpn_at(i).0 }));
+            self.pm.set_owner(pfn, Some(OwnerTag { pid, vpn: hvpn.vpn_at(i).0 }));
             self.pm.set_movable(pfn, false);
         }
     }
@@ -428,7 +428,7 @@ impl Machine {
             cost += self.zero_sync(a.pfn, Order(0));
         }
         self.pm.set_kind(a.pfn, FrameKind::Anon);
-        self.pm.frame_mut(a.pfn).set_owner(Some(OwnerTag { pid, vpn: vpn.0 }));
+        self.pm.set_owner(a.pfn, Some(OwnerTag { pid, vpn: vpn.0 }));
         let p = self.processes.get_mut(&pid).expect("faulting process exists");
         let space = p.space_mut();
         space.unmap_base(vpn).expect("zero-cow entry exists");
@@ -602,7 +602,7 @@ impl Machine {
         for i in 0..512u64 {
             let pfn = Pfn(entry.pfn.0 + i);
             self.pm.set_movable(pfn, true);
-            self.pm.frame_mut(pfn).set_owner(Some(OwnerTag { pid, vpn: hvpn.vpn_at(i).0 }));
+            self.pm.set_owner(pfn, Some(OwnerTag { pid, vpn: hvpn.vpn_at(i).0 }));
         }
         self.mmu.invalidate_region(pid, hvpn.0);
         self.stats.demotions += 1;

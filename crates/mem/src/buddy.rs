@@ -9,11 +9,13 @@
 //! is not wasted on them.
 //!
 //! Zero-ness is authoritative in the per-frame [`PageContent`] tags; a free
-//! block sits in the zero list iff *all* its frames are zero-filled.
+//! block sits in the zero list iff *all* its frames are zero-filled. Each
+//! free head records which list it is on, so splits and merges write and
+//! read only block heads (DESIGN.md §7, "16-byte frame table").
 
 use crate::content::PageContent;
 use crate::error::AllocError;
-use crate::frame::{Frame, FrameKind, FrameState, NOT_FREE_HEAD, NO_LINK};
+use crate::frame::{Frame, FrameKind, FrameState, OwnerTag, NO_LINK};
 use crate::types::{Order, Pfn, BASE_PAGES_PER_HUGE, HUGE_ORDER, MAX_ORDER};
 use hawkeye_metrics::MetricsSink;
 use hawkeye_trace::{TraceEvent, TraceSink};
@@ -164,7 +166,7 @@ impl PhysMemory {
         };
         let mut pfn = 0;
         while pfn < total_frames {
-            pm.insert_free_block(Pfn(pfn), MAX_ORDER);
+            pm.insert_free_block_nomerge(Pfn(pfn), MAX_ORDER, true);
             pfn += block;
         }
         pm
@@ -260,6 +262,19 @@ impl PhysMemory {
         self.update_mobility(pfn, |f| f.set_kind(kind));
     }
 
+    /// Sets (or clears) an allocated frame's reverse-map owner. Pid
+    /// `u32::MAX` is reserved (it encodes "no owner").
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame is free: a free frame's owner slots hold its
+    /// free-list links.
+    pub fn set_owner(&mut self, pfn: Pfn, owner: Option<OwnerTag>) {
+        let f = &mut self.frames[pfn.index()];
+        assert!(!f.is_free(), "{pfn} is free: only allocated frames have an owner");
+        f.set_owner(owner);
+    }
+
     /// Applies `change` to an allocated frame and moves it between its
     /// region's movable and unmovable counts if its movability flipped.
     fn update_mobility(&mut self, pfn: Pfn, change: impl FnOnce(&mut Frame)) {
@@ -307,14 +322,18 @@ impl PhysMemory {
             .or_else(|| self.find_block(order, 1 - preferred));
         let (pfn, at_order, listz) = found.ok_or(AllocError::OutOfMemory { order })?;
         self.remove_free_block(pfn, at_order, listz);
-        // Split down to the requested order, returning upper halves.
+        // Split down to the requested order, returning upper halves. The
+        // halves of a zero-list block are zeroed; a non-zero block can
+        // still hold all-zero halves, so those are scanned.
+        let zero_list = listz == 1;
         let mut cur_order = at_order;
         while cur_order > order {
             cur_order = Order(cur_order.0 - 1);
             let upper = Pfn(pfn.0 + cur_order.pages());
-            self.insert_free_block_nomerge(upper, cur_order);
+            let zeroed = zero_list || self.block_is_zeroed(upper, cur_order);
+            self.insert_free_block_nomerge(upper, cur_order, zeroed);
         }
-        let was_zeroed = self.block_is_zeroed(pfn, order);
+        let was_zeroed = zero_list || self.block_is_zeroed(pfn, order);
         self.mark_allocated(pfn, order);
         // How often the pre-zeroed pool absorbs a zero-demand allocation
         // (the paper's §3.1 win) vs. forcing synchronous zeroing.
@@ -338,16 +357,18 @@ impl PhysMemory {
     /// aligned to `order`.
     pub fn free(&mut self, pfn: Pfn, order: Order) {
         assert!(pfn.is_aligned(order), "{pfn} not aligned to {order}");
+        let mut zeroed = true;
         for i in 0..order.pages() {
             let f = &mut self.frames[pfn.index() + i as usize];
-            assert_eq!(f.state, FrameState::Allocated, "double free of {}", Pfn(pfn.0 + i));
+            assert_eq!(f.state(), FrameState::Allocated, "double free of {}", Pfn(pfn.0 + i));
             if !f.is_movable() {
                 self.regions[region_of(Pfn(pfn.0 + i))].unmovable -= 1;
             }
-            f.reset_user_meta();
+            zeroed &= f.is_zeroed();
+            f.make_free_tail();
         }
         self.count_allocated(pfn, order, false);
-        self.insert_free_block(pfn, order);
+        self.insert_free_block(pfn, order, zeroed);
     }
 
     /// Zero-fills the frames of an *allocated* block (synchronous zeroing
@@ -359,7 +380,7 @@ impl PhysMemory {
     pub fn zero_block(&mut self, pfn: Pfn, order: Order) {
         for i in 0..order.pages() {
             let f = &mut self.frames[pfn.index() + i as usize];
-            assert_eq!(f.state, FrameState::Allocated, "zeroing a free frame");
+            assert_eq!(f.state(), FrameState::Allocated, "zeroing a free frame");
             f.set_content(PageContent::Zero);
         }
     }
@@ -377,23 +398,26 @@ impl PhysMemory {
             // Smallest non-zero block that exists.
             let Some((pfn, order)) = self.pop_smallest_nonzero() else { break };
             let mut order = order;
-            // Split until the block fits in the remaining budget.
+            // Split until the block fits in the remaining budget. The
+            // block is non-zero, but its halves may be all-zero.
             while order.pages() > budget && order.0 > 0 {
                 order = Order(order.0 - 1);
                 let upper = Pfn(pfn.0 + order.pages());
-                self.insert_free_block_nomerge(upper, order);
+                let all_zero = self.block_is_zeroed(upper, order);
+                self.insert_free_block_nomerge(upper, order, all_zero);
             }
             if order.pages() > budget {
                 // budget smaller than a single page cannot happen (order 0
                 // is 1 page); defensive.
-                self.insert_free_block_nomerge(pfn, order);
+                let all_zero = self.block_is_zeroed(pfn, order);
+                self.insert_free_block_nomerge(pfn, order, all_zero);
                 break;
             }
             for i in 0..order.pages() {
                 self.frames[pfn.index() + i as usize].set_content(PageContent::Zero);
             }
             // Reinsert: merging may now combine zeroed buddies.
-            self.insert_free_block_raw(pfn, order);
+            self.insert_free_block(pfn, order, true);
             zeroed += order.pages();
             budget -= order.pages();
         }
@@ -457,8 +481,7 @@ impl PhysMemory {
     fn mark_allocated(&mut self, pfn: Pfn, order: Order) {
         for i in 0..order.pages() {
             let f = &mut self.frames[pfn.index() + i as usize];
-            f.state = FrameState::Allocated;
-            f.free_order = NOT_FREE_HEAD;
+            f.mark_allocated();
             // Free frames are movable (`free` resets them and the setters
             // refuse free frames), so the unmovable counts stay as they are.
             debug_assert!(f.is_movable());
@@ -485,25 +508,21 @@ impl PhysMemory {
         }
     }
 
-    /// Inserts a free block with buddy merging.
-    fn insert_free_block(&mut self, pfn: Pfn, order: Order) {
-        self.insert_free_block_raw(pfn, order);
-    }
-
-    fn insert_free_block_raw(&mut self, mut pfn: Pfn, mut order: Order) {
+    /// Inserts a block of free tails, `zeroed` iff all its frames are
+    /// zero-filled, with buddy merging.
+    fn insert_free_block(&mut self, mut pfn: Pfn, mut order: Order, mut zeroed: bool) {
         // Merge upward while the buddy is a free head of the same order and
         // the merge policy allows combining the two blocks' zero-ness.
-        let mut zeroed = self.block_is_zeroed(pfn, order);
         while order < MAX_ORDER {
             let buddy = pfn.buddy(order);
             if buddy.index() >= self.frames.len() {
                 break;
             }
             let b = &self.frames[buddy.index()];
-            if b.state != FrameState::FreeHead || b.free_order != order.0 {
+            if b.state() != FrameState::FreeHead || b.free_order != order.0 {
                 break;
             }
-            let bz = self.block_is_zeroed(buddy, order);
+            let bz = b.on_zero_list();
             if bz != zeroed && !self.cross_merge {
                 break;
             }
@@ -512,28 +531,18 @@ impl PhysMemory {
             order = Order(order.0 + 1);
             zeroed = zeroed && bz;
         }
-        self.insert_free_block_nomerge(pfn, order);
+        self.insert_free_block_nomerge(pfn, order, zeroed);
     }
 
-    fn insert_free_block_nomerge(&mut self, pfn: Pfn, order: Order) {
-        let zeroed = self.block_is_zeroed(pfn, order);
+    /// Pushes a block of free tails, `zeroed` iff all its frames are
+    /// zero-filled, onto the front of its list. Writes only the head (and
+    /// the old list head's `prev` link).
+    fn insert_free_block_nomerge(&mut self, pfn: Pfn, order: Order, zeroed: bool) {
         let listz = zeroed as usize;
-        for i in 0..order.pages() {
-            let f = &mut self.frames[pfn.index() + i as usize];
-            f.state = FrameState::FreeTail;
-            f.free_order = NOT_FREE_HEAD;
-            f.prev = NO_LINK;
-            f.next = NO_LINK;
-        }
         let head = self.lists[order.index()][listz].head;
-        {
-            let f = &mut self.frames[pfn.index()];
-            f.state = FrameState::FreeHead;
-            f.free_order = order.0;
-            f.next = head;
-        }
+        self.frames[pfn.index()].make_free_head(order.0, zeroed, head);
         if head != NO_LINK {
-            self.frames[head as usize].prev = pfn.0 as u32;
+            self.frames[head as usize].set_prev(pfn.0 as u32);
         }
         self.lists[order.index()][listz].head = pfn.0 as u32;
         self.lists[order.index()][listz].blocks += 1;
@@ -546,24 +555,21 @@ impl PhysMemory {
     fn remove_free_block(&mut self, pfn: Pfn, order: Order, listz: usize) {
         let (prev, next) = {
             let f = &self.frames[pfn.index()];
-            debug_assert_eq!(f.state, FrameState::FreeHead);
+            debug_assert_eq!(f.state(), FrameState::FreeHead);
             debug_assert_eq!(f.free_order, order.0);
-            (f.prev, f.next)
+            debug_assert_eq!(f.on_zero_list(), listz == 1);
+            (f.prev(), f.next())
         };
         if prev != NO_LINK {
-            self.frames[prev as usize].next = next;
+            self.frames[prev as usize].set_next(next);
         } else {
             debug_assert_eq!(self.lists[order.index()][listz].head, pfn.0 as u32);
             self.lists[order.index()][listz].head = next;
         }
         if next != NO_LINK {
-            self.frames[next as usize].prev = prev;
+            self.frames[next as usize].set_prev(prev);
         }
-        let f = &mut self.frames[pfn.index()];
-        f.state = FrameState::FreeTail;
-        f.free_order = NOT_FREE_HEAD;
-        f.prev = NO_LINK;
-        f.next = NO_LINK;
+        self.frames[pfn.index()].clear_free_head();
         self.lists[order.index()][listz].blocks -= 1;
         self.free_pages -= order.pages();
         if listz == 1 {
@@ -582,9 +588,7 @@ impl PhysMemory {
     /// unowned.
     pub(crate) fn claim_mark(&mut self, pfn: Pfn) {
         let f = &mut self.frames[pfn.index()];
-        f.state = FrameState::Allocated;
-        f.free_order = NOT_FREE_HEAD;
-        f.set_owner(None);
+        f.mark_allocated();
         f.set_movable(false);
         let counts = &mut self.regions[region_of(pfn)];
         counts.allocated += 1;
@@ -593,12 +597,13 @@ impl PhysMemory {
 
     /// Reinserts a single (list-removed) frame into the free lists.
     pub(crate) fn claim_reinsert(&mut self, pfn: Pfn) {
-        self.insert_free_block_raw(pfn, Order(0));
+        let zeroed = self.frames[pfn.index()].is_zeroed();
+        self.insert_free_block(pfn, Order(0), zeroed);
     }
 
-    /// Debug invariant check: list membership, counters, zero-ness and the
-    /// per-region counts all agree. Used by tests and property tests;
-    /// O(frames).
+    /// Debug invariant check: list membership, counters, zero-ness, the
+    /// overlaid frame slots and the per-region counts all agree. Used by
+    /// tests and property tests; O(frames).
     pub fn check_invariants(&self) {
         let mut free = 0u64;
         let mut zeroed_free = 0u64;
@@ -610,9 +615,10 @@ impl PhysMemory {
                 let mut prev = NO_LINK;
                 while cur != NO_LINK {
                     let f = &self.frames[cur as usize];
-                    assert_eq!(f.state, FrameState::FreeHead);
+                    assert_eq!(f.state(), FrameState::FreeHead);
                     assert_eq!(f.free_order as usize, o);
-                    assert_eq!(f.prev, prev);
+                    assert_eq!(f.prev(), prev);
+                    assert_eq!(f.on_zero_list(), z == 1, "head {cur}'s zero-list bit disagrees with its list");
                     let order = Order(o as u8);
                     let pfn = Pfn(cur as u64);
                     assert!(pfn.is_aligned(order));
@@ -624,27 +630,36 @@ impl PhysMemory {
                     count += 1;
                     seen_heads += 1;
                     prev = cur;
-                    cur = f.next;
+                    cur = f.next();
                 }
                 assert_eq!(count, list.blocks, "block counter mismatch at order {o} z {z}");
             }
         }
         assert_eq!(free, self.free_pages, "free page counter mismatch");
         assert_eq!(zeroed_free, self.zeroed_free_pages, "zeroed counter mismatch");
-        let heads = self
-            .frames
-            .iter()
-            .filter(|f| f.state == FrameState::FreeHead)
-            .count() as u64;
-        assert_eq!(heads, seen_heads, "orphan free heads exist");
+        let mut heads = 0u64;
         let mut regions = vec![RegionCounts::default(); self.regions.len()];
         for (i, f) in self.frames.iter().enumerate() {
+            match f.state() {
+                FrameState::FreeHead => heads += 1,
+                FrameState::FreeTail => {
+                    assert!(f.slots_clear(), "free tail {i} holds a link");
+                    assert!(!f.on_zero_list(), "free tail {i} has a zero-list bit");
+                }
+                FrameState::Allocated => {
+                    assert!(!f.on_zero_list(), "allocated frame {i} has a zero-list bit");
+                }
+            }
+            if f.is_free() {
+                assert_eq!(f.owner(), None, "free frame {i} reads as owned");
+            }
             let r = &mut regions[i >> HUGE_ORDER.0];
             if !f.is_free() {
                 r.allocated += 1;
                 r.unmovable += u16::from(!f.is_movable());
             }
         }
+        assert_eq!(heads, seen_heads, "orphan free heads exist");
         for (r, (kept, rescanned)) in self.regions.iter().zip(&regions).enumerate() {
             assert_eq!(kept, rescanned, "region {r} counts disagree with a rescan");
         }
@@ -864,6 +879,13 @@ mod tests {
     fn free_frames_keep_their_movability() {
         let mut pm = PhysMemory::new(1024);
         pm.set_movable(Pfn(7), false);
+    }
+
+    #[test]
+    #[should_panic(expected = "is free")]
+    fn set_owner_on_free_frame_panics() {
+        let mut pm = PhysMemory::new(1024);
+        pm.set_owner(Pfn(7), Some(OwnerTag { pid: 1, vpn: 7 }));
     }
 
     #[test]

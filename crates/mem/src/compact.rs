@@ -164,11 +164,8 @@ where
             break;
         }
         // Copy page identity to the destination frame.
-        {
-            let d = pm.frame_mut(dst.pfn);
-            d.set_content(content);
-            d.set_owner(owner);
-        }
+        pm.frame_mut(dst.pfn).set_content(content);
+        pm.set_owner(dst.pfn, owner);
         pm.set_kind(dst.pfn, kind);
         pm.set_movable(dst.pfn, true);
         moved.set(i);
@@ -182,9 +179,9 @@ where
         for off in moved.offsets() {
             let src = Pfn(base.0 + off);
             // Migrated data now lives at the destination; the source
-            // frame's stale contents must not look pre-zeroed.
+            // frame's stale contents must not look pre-zeroed (`free`
+            // drops its owner).
             pm.frame_mut(src).set_content(crate::content::PageContent::non_zero(0));
-            pm.frame_mut(src).set_owner(None);
             pm.free(src, Order(0));
         }
         for off in claimed.offsets() {
@@ -196,9 +193,7 @@ where
     // (claimed or migrated-out source); free the region as one huge block
     // so it enters the free lists whole regardless of mixed zero-ness.
     for off in moved.offsets() {
-        let src = Pfn(base.0 + off);
-        pm.frame_mut(src).set_content(crate::content::PageContent::non_zero(0));
-        pm.frame_mut(src).set_owner(None);
+        pm.frame_mut(Pfn(base.0 + off)).set_content(crate::content::PageContent::non_zero(0));
     }
     pm.free(base, HUGE_ORDER);
     true
@@ -220,7 +215,7 @@ fn claim_free_in_region(pm: &mut PhysMemory, base: Pfn) -> RegionBits {
         }
         // Find the head/order of the free block containing `pfn`.
         let (head, order) = find_free_block(pm, pfn).expect("free frame must be in a block");
-        let listz = pm.block_is_zeroed(head, order) as usize;
+        let listz = pm.frame(head).on_zero_list() as usize;
         pm.claim_remove(head, order, listz);
         // Re-insert any part of the block outside the region (an order-10
         // block spans two huge regions).
@@ -249,7 +244,7 @@ fn find_free_block(pm: &PhysMemory, pfn: Pfn) -> Option<(Pfn, Order)> {
         let order = Order(o);
         let head = pfn.block_base(order);
         let f = pm.frame(head);
-        if f.state == FrameState::FreeHead && f.free_order == o {
+        if f.state() == FrameState::FreeHead && f.free_order == o {
             return Some((head, order));
         }
     }
@@ -277,9 +272,8 @@ mod tests {
         for pfn in all {
             // Keep one page out of every 64 allocated; free the rest.
             if pfn.0 % 64 == 0 {
-                let f = pm.frame_mut(pfn);
-                f.set_owner(Some(OwnerTag { pid: 1, vpn: pfn.0 }));
-                f.set_content(PageContent::non_zero(3));
+                pm.set_owner(pfn, Some(OwnerTag { pid: 1, vpn: pfn.0 }));
+                pm.frame_mut(pfn).set_content(PageContent::non_zero(3));
                 kept.push(pfn);
             } else {
                 pm.free(pfn, Order(0));
@@ -336,7 +330,7 @@ mod tests {
                 pm.set_kind(pfn, FrameKind::Pinned);
                 pins.push(pfn);
             } else if off.is_multiple_of(64) {
-                pm.frame_mut(pfn).set_owner(Some(OwnerTag { pid: 1, vpn: pfn.0 }));
+                pm.set_owner(pfn, Some(OwnerTag { pid: 1, vpn: pfn.0 }));
                 pm.frame_mut(pfn).set_content(PageContent::non_zero(3));
             } else {
                 pm.free(pfn, Order(0));
@@ -475,7 +469,7 @@ mod tests {
                     break;
                 }
                 pm.frame_mut(dst.pfn).set_content(content);
-                pm.frame_mut(dst.pfn).set_owner(owner);
+                pm.set_owner(dst.pfn, owner);
                 pm.set_kind(dst.pfn, kind);
                 pm.set_movable(dst.pfn, true);
                 moved.push(src);
@@ -485,7 +479,7 @@ mod tests {
             if aborted {
                 for src in moved {
                     pm.frame_mut(src).set_content(PageContent::non_zero(0));
-                    pm.frame_mut(src).set_owner(None);
+                    pm.set_owner(src, None);
                     pm.free(src, Order(0));
                 }
                 for pfn in claimed {
@@ -495,7 +489,7 @@ mod tests {
             }
             for src in moved {
                 pm.frame_mut(src).set_content(PageContent::non_zero(0));
-                pm.frame_mut(src).set_owner(None);
+                pm.set_owner(src, None);
             }
             pm.free(base, HUGE_ORDER);
             true
@@ -580,12 +574,11 @@ mod tests {
                     let pref = if rng.below(2) == 0 { AllocPref::Zeroed } else { AllocPref::NonZeroed };
                     if let Ok(a) = pm.alloc(order, pref) {
                         for p in a.pfn.0..a.pfn.0 + order.pages() {
-                            let f = pm.frame_mut(Pfn(p));
                             if rng.below(3) != 0 {
-                                f.set_content(PageContent::non_zero(rng.below(4096) as u16));
+                                pm.frame_mut(Pfn(p)).set_content(PageContent::non_zero(rng.below(4096) as u16));
                             }
                             if rng.below(4) != 0 {
-                                f.set_owner(Some(OwnerTag { pid: rng.below(3) as u32 + 1, vpn: p }));
+                                pm.set_owner(Pfn(p), Some(OwnerTag { pid: rng.below(3) as u32 + 1, vpn: p }));
                             }
                         }
                         live.insert(a.pfn.0, a.order);

@@ -4,6 +4,12 @@
 //! file-backed, pinned), an optional reverse-map owner tag (process + virtual
 //! page, used by compaction to update page tables when migrating), a
 //! movability flag, and the page-content tag from [`crate::content`].
+//!
+//! A frame is 16 bytes. Like Linux's `struct page`, it overlays fields that
+//! are never live at the same time: the owner slots of an allocated frame
+//! hold the free-list links while the frame heads a free block, and
+//! `NO_LINK` in both slots while it is inside one (DESIGN.md §7, "16-byte
+//! frame table").
 
 use crate::content::PageContent;
 use std::fmt;
@@ -35,9 +41,11 @@ pub struct OwnerTag {
 }
 
 pub(crate) const NO_LINK: u32 = u32::MAX;
-/// `Frame::owner_pid` value of a frame without a reverse-map owner.
-const NO_OWNER: u32 = u32::MAX;
-pub(crate) const NOT_FREE_HEAD: u8 = u8::MAX;
+/// Pid slot of an allocated frame without a reverse-map owner. It equals
+/// [`NO_LINK`], so a free tail becomes an unowned allocated frame without
+/// a write to its slots.
+const NO_OWNER: u32 = NO_LINK;
+const NOT_FREE_HEAD: u8 = u8::MAX;
 
 /// Allocation state of a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,97 +58,134 @@ pub(crate) enum FrameState {
     FreeTail,
 }
 
-/// Metadata of one physical frame (32 bytes).
+// Layout of `Frame::bits`.
+const STATE_MASK: u8 = 0b11;
+const KIND_SHIFT: u8 = 2;
+const KIND_MASK: u8 = 0b11 << KIND_SHIFT;
+const MOVABLE: u8 = 1 << 4;
+/// Set only on a free head that is on a zero list.
+const ZERO_LIST: u8 = 1 << 5;
+
+const fn state_bits(state: FrameState) -> u8 {
+    match state {
+        FrameState::Allocated => 0,
+        FrameState::FreeHead => 1,
+        FrameState::FreeTail => 2,
+    }
+}
+
+const fn kind_bits(kind: FrameKind) -> u8 {
+    (match kind {
+        FrameKind::Anon => 0,
+        FrameKind::File => 1,
+        FrameKind::Pinned => 2,
+    }) << KIND_SHIFT
+}
+
+/// Metadata of one physical frame (16 bytes).
 ///
 /// Instances live in [`crate::PhysMemory`]'s frame table and are accessed by
 /// [`crate::PhysMemory::frame`] / [`crate::PhysMemory::frame_mut`].
-/// Movability and kind change only through [`crate::PhysMemory::set_movable`]
-/// and [`crate::PhysMemory::set_kind`], which keep the per-region counts
-/// compaction reads in step.
+/// Movability, kind and owner change only through
+/// [`crate::PhysMemory::set_movable`], [`crate::PhysMemory::set_kind`] and
+/// [`crate::PhysMemory::set_owner`], which refuse free frames (whose slots
+/// hold free-list links) and keep the per-region counts compaction reads
+/// in step.
 #[derive(Debug, Clone)]
 #[cfg_attr(test, derive(PartialEq, Eq))]
 pub struct Frame {
-    pub(crate) state: FrameState,
-    /// Valid only when `state == FreeHead`.
+    /// State (bits 0–1), kind (bits 2–3), movable (bit 4) and, on a free
+    /// head, whether its block is on a zero list (bit 5).
+    bits: u8,
+    /// Order of the free block this frame heads; `NOT_FREE_HEAD` otherwise.
     pub(crate) free_order: u8,
-    /// Free-list linkage (valid only when `state == FreeHead`).
-    pub(crate) prev: u32,
-    pub(crate) next: u32,
-    kind: FrameKind,
-    /// Reverse-map owner, split so the frame packs into 32 bytes:
-    /// `owner_pid == NO_OWNER` means none (and `owner_vpn` is then 0).
-    owner_pid: u32,
-    owner_vpn: u64,
-    movable: bool,
     content_tag: u16,
+    /// Owner pid while allocated (`NO_OWNER`: none), `prev` link while
+    /// heading a free block, `NO_LINK` inside one.
+    pid_or_prev: u32,
+    /// Owner vpn while allocated (`NO_LINK` when unowned), `next` link while
+    /// heading a free block, `NO_LINK` inside one.
+    vpn_or_next: u64,
 }
 
 impl Default for Frame {
     fn default() -> Self {
         Frame {
-            state: FrameState::FreeTail,
+            bits: state_bits(FrameState::FreeTail) | kind_bits(FrameKind::Anon) | MOVABLE,
             free_order: NOT_FREE_HEAD,
-            prev: NO_LINK,
-            next: NO_LINK,
-            kind: FrameKind::Anon,
-            owner_pid: NO_OWNER,
-            owner_vpn: 0,
-            movable: true,
             content_tag: PageContent::ZERO_TAG,
+            pid_or_prev: NO_LINK,
+            vpn_or_next: u64::from(NO_LINK),
         }
     }
 }
 
 impl Frame {
+    pub(crate) fn state(&self) -> FrameState {
+        match self.bits & STATE_MASK {
+            0 => FrameState::Allocated,
+            1 => FrameState::FreeHead,
+            _ => FrameState::FreeTail,
+        }
+    }
+
     /// Whether the frame is currently free (head or interior of a free
     /// block).
     pub fn is_free(&self) -> bool {
-        matches!(self.state, FrameState::FreeHead | FrameState::FreeTail)
+        self.bits & STATE_MASK != state_bits(FrameState::Allocated)
     }
 
     /// The frame's allocation kind.
     pub fn kind(&self) -> FrameKind {
-        self.kind
+        match (self.bits & KIND_MASK) >> KIND_SHIFT {
+            0 => FrameKind::Anon,
+            1 => FrameKind::File,
+            _ => FrameKind::Pinned,
+        }
     }
 
     /// Sets the allocation kind.
     pub(crate) fn set_kind(&mut self, kind: FrameKind) {
-        self.kind = kind;
+        self.bits = self.bits & !KIND_MASK | kind_bits(kind);
         if kind == FrameKind::Pinned {
-            self.movable = false;
+            self.bits &= !MOVABLE;
         }
     }
 
-    /// Reverse-map owner, if the frame backs a user mapping.
+    /// Reverse-map owner, if the frame is allocated and backs a user
+    /// mapping. Always `None` on a free frame.
     pub fn owner(&self) -> Option<OwnerTag> {
-        (self.owner_pid != NO_OWNER).then_some(OwnerTag { pid: self.owner_pid, vpn: self.owner_vpn })
+        (self.state() == FrameState::Allocated && self.pid_or_prev != NO_OWNER)
+            .then_some(OwnerTag { pid: self.pid_or_prev, vpn: self.vpn_or_next })
     }
 
-    /// Sets (or clears) the reverse-map owner. Pid `u32::MAX` is reserved
-    /// (it encodes "no owner").
-    pub fn set_owner(&mut self, owner: Option<OwnerTag>) {
+    /// Sets (or clears) the reverse-map owner of an allocated frame. Pid
+    /// `u32::MAX` is reserved (it encodes "no owner").
+    pub(crate) fn set_owner(&mut self, owner: Option<OwnerTag>) {
+        debug_assert_eq!(self.state(), FrameState::Allocated, "owner of a free frame");
         match owner {
             Some(o) => {
                 debug_assert!(o.pid != NO_OWNER, "pid u32::MAX is reserved");
-                self.owner_pid = o.pid;
-                self.owner_vpn = o.vpn;
+                self.pid_or_prev = o.pid;
+                self.vpn_or_next = o.vpn;
             }
-            None => {
-                self.owner_pid = NO_OWNER;
-                self.owner_vpn = 0;
-            }
+            None => self.clear_slots(),
         }
     }
 
     /// Whether compaction may migrate this frame.
     pub fn is_movable(&self) -> bool {
-        self.movable && self.kind != FrameKind::Pinned
+        self.bits & MOVABLE != 0 && self.kind() != FrameKind::Pinned
     }
 
     /// Marks the frame movable/unmovable (e.g. huge-mapped frames are
     /// unmovable as units; pinned frames are never movable).
     pub(crate) fn set_movable(&mut self, movable: bool) {
-        self.movable = movable;
+        if movable {
+            self.bits |= MOVABLE;
+        } else {
+            self.bits &= !MOVABLE;
+        }
     }
 
     /// The frame's content summary.
@@ -159,27 +204,100 @@ impl Frame {
         self.content_tag == PageContent::ZERO_TAG
     }
 
-    pub(crate) fn reset_user_meta(&mut self) {
-        self.kind = FrameKind::Anon;
-        self.set_owner(None);
-        self.movable = true;
+    // ---- buddy-allocator state transitions ------------------------------
+
+    fn clear_slots(&mut self) {
+        self.pid_or_prev = NO_LINK;
+        self.vpn_or_next = u64::from(NO_LINK);
+    }
+
+    /// Whether both slots hold `NO_LINK` (a free tail; an unowned
+    /// allocated frame).
+    pub(crate) fn slots_clear(&self) -> bool {
+        self.pid_or_prev == NO_LINK && self.vpn_or_next == u64::from(NO_LINK)
+    }
+
+    /// Turns an allocated frame into a free tail: an anonymous, movable,
+    /// unowned frame inside a free block. Keeps the content.
+    pub(crate) fn make_free_tail(&mut self) {
+        self.bits = state_bits(FrameState::FreeTail) | kind_bits(FrameKind::Anon) | MOVABLE;
+        self.free_order = NOT_FREE_HEAD;
+        self.clear_slots();
+    }
+
+    /// Turns a free tail into the head of a free block of `order` at the
+    /// front of its list (zero list iff `zero_list`), followed by `next`.
+    pub(crate) fn make_free_head(&mut self, order: u8, zero_list: bool, next: u32) {
+        debug_assert_eq!(self.state(), FrameState::FreeTail);
+        self.bits = self.bits & !(STATE_MASK | ZERO_LIST)
+            | state_bits(FrameState::FreeHead)
+            | if zero_list { ZERO_LIST } else { 0 };
+        self.free_order = order;
+        self.pid_or_prev = NO_LINK;
+        self.vpn_or_next = u64::from(next);
+    }
+
+    /// Turns a free head, already unlinked from its list, back into a free
+    /// tail.
+    pub(crate) fn clear_free_head(&mut self) {
+        self.bits = self.bits & !(STATE_MASK | ZERO_LIST) | state_bits(FrameState::FreeTail);
+        self.free_order = NOT_FREE_HEAD;
+        self.clear_slots();
+    }
+
+    /// Marks a free tail allocated. Its slots already read "no owner".
+    pub(crate) fn mark_allocated(&mut self) {
+        debug_assert!(self.state() == FrameState::FreeTail && self.slots_clear());
+        self.bits = self.bits & !STATE_MASK | state_bits(FrameState::Allocated);
+    }
+
+    /// Whether this free head's block is on a zero list. False on every
+    /// frame that is not a free head.
+    pub(crate) fn on_zero_list(&self) -> bool {
+        self.bits & ZERO_LIST != 0
+    }
+
+    /// Free-list `prev` link of a free head.
+    pub(crate) fn prev(&self) -> u32 {
+        self.pid_or_prev
+    }
+
+    /// Free-list `next` link of a free head.
+    pub(crate) fn next(&self) -> u32 {
+        self.vpn_or_next as u32
+    }
+
+    pub(crate) fn set_prev(&mut self, prev: u32) {
+        debug_assert_eq!(self.state(), FrameState::FreeHead);
+        self.pid_or_prev = prev;
+    }
+
+    pub(crate) fn set_next(&mut self, next: u32) {
+        debug_assert_eq!(self.state(), FrameState::FreeHead);
+        self.vpn_or_next = u64::from(next);
     }
 }
 
 impl fmt::Display for Frame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = match self.state {
+        let state = match self.state() {
             FrameState::Allocated => "alloc",
             FrameState::FreeHead => "free-head",
             FrameState::FreeTail => "free",
         };
-        write!(f, "[{state} {:?} {}]", self.kind, self.content())
+        write!(f, "[{state} {:?} {}]", self.kind(), self.content())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn allocated() -> Frame {
+        let mut f = Frame::default();
+        f.mark_allocated();
+        f
+    }
 
     #[test]
     fn default_frame_is_free_and_zeroed() {
@@ -213,16 +331,39 @@ mod tests {
 
     #[test]
     fn owner_tag_set_and_clear() {
-        let mut f = Frame::default();
+        let mut f = allocated();
+        assert_eq!(f.owner(), None);
         f.set_owner(Some(OwnerTag { pid: 3, vpn: 42 }));
-        assert_eq!(f.owner().unwrap().vpn, 42);
+        assert_eq!(f.owner(), Some(OwnerTag { pid: 3, vpn: 42 }));
         f.set_owner(None);
         assert!(f.owner().is_none());
     }
 
     #[test]
-    fn frame_is_32_bytes() {
-        assert_eq!(std::mem::size_of::<Frame>(), 32);
+    fn free_head_links_never_read_as_an_owner() {
+        let mut f = Frame::default();
+        f.make_free_head(3, true, 17);
+        f.set_prev(5);
+        assert_eq!((f.prev(), f.next()), (5, 17));
+        assert!(f.on_zero_list());
+        assert_eq!(f.owner(), None);
+        f.clear_free_head();
+        assert!(f.slots_clear() && !f.on_zero_list());
+    }
+
+    #[test]
+    fn kind_and_movability_share_a_byte_with_the_state() {
+        let mut f = allocated();
+        f.set_kind(FrameKind::File);
+        f.set_movable(false);
+        assert_eq!((f.kind(), f.is_movable(), f.is_free()), (FrameKind::File, false, false));
+        f.make_free_tail();
+        assert_eq!((f.kind(), f.is_movable(), f.is_free()), (FrameKind::Anon, true, true));
+    }
+
+    #[test]
+    fn frame_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Frame>(), 16);
     }
 
     #[test]

@@ -1,14 +1,19 @@
 //! Property tests for the buddy allocator and compactor.
 //!
-//! Random interleavings of alloc / dirty / free / pre-zero / compact must
-//! preserve the allocator's structural invariants, never hand out
-//! overlapping blocks, and conserve pages exactly.
+//! Random interleavings of alloc / dirty / set-owner / clear-owner / free /
+//! pre-zero / compact must preserve the allocator's structural invariants,
+//! never hand out overlapping blocks, conserve pages exactly, and keep
+//! every reverse-map owner (which shares its slots with the free-list
+//! links) until its frame is freed.
 //!
 //! Inputs come from the in-tree `SplitMix64` with fixed seeds, one
 //! generator per case, so every run checks the same cases.
 
 use hawkeye_mem::rng::SplitMix64;
-use hawkeye_mem::{compact::compact, AllocPref, Order, PageContent, Pfn, PhysMemory, MAX_ORDER};
+use hawkeye_mem::{
+    compact::compact, AllocPref, Order, OwnerTag, PageContent, Pfn, PhysMemory, MAX_ORDER,
+};
+use std::collections::BTreeMap;
 
 const FRAMES: u64 = 4096;
 
@@ -30,19 +35,29 @@ enum Op {
     Alloc { order: u8, zeroed: bool },
     Free { slot: usize },
     Dirty { slot: usize, offset: u16 },
+    SetOwner { slot: usize, offset: u64, pid: u32, vpn: u64 },
+    ClearOwner { slot: usize, offset: u64 },
     Prezero { budget: u64 },
     Compact { budget: u64 },
 }
 
 fn random_op(rng: &mut SplitMix64) -> Op {
-    match rng.below(5) {
+    match rng.below(7) {
         0 => Op::Alloc {
             order: rng.below(u64::from(MAX_ORDER.0) + 1) as u8,
             zeroed: rng.below(2) == 1,
         },
         1 => Op::Free { slot: rng.next_u64() as usize },
         2 => Op::Dirty { slot: rng.next_u64() as usize, offset: rng.below(4096) as u16 },
-        3 => Op::Prezero { budget: rng.below(2048) },
+        3 => Op::SetOwner {
+            slot: rng.next_u64() as usize,
+            offset: rng.next_u64(),
+            // Any pid but the reserved u32::MAX, any vpn.
+            pid: rng.below(u64::from(u32::MAX)) as u32,
+            vpn: rng.next_u64(),
+        },
+        4 => Op::ClearOwner { slot: rng.next_u64() as usize, offset: rng.next_u64() },
+        5 => Op::Prezero { budget: rng.below(2048) },
         _ => Op::Compact { budget: rng.below(512) },
     }
 }
@@ -58,6 +73,8 @@ fn random_ops_preserve_invariants() {
         let ops: Vec<Op> = (0..range(&mut rng, 1, 120)).map(|_| random_op(&mut rng)).collect();
         let mut pm = PhysMemory::new(FRAMES);
         let mut live: Vec<(Pfn, Order)> = Vec::new();
+        // The owner each owned frame must report.
+        let mut owners: BTreeMap<u64, OwnerTag> = BTreeMap::new();
         for op in ops {
             match op {
                 Op::Alloc { order, zeroed } => {
@@ -85,6 +102,7 @@ fn random_ops_preserve_invariants() {
                     if !live.is_empty() {
                         let (pfn, order) = live.swap_remove(slot % live.len());
                         pm.free(pfn, order);
+                        owners.retain(|&p, _| p < pfn.0 || p >= pfn.0 + order.pages());
                     }
                 }
                 Op::Dirty { slot, offset } => {
@@ -93,6 +111,23 @@ fn random_ops_preserve_invariants() {
                         // dirty a deterministic page of the block
                         let page = Pfn(pfn.0 + (offset as u64 % order.pages()));
                         pm.frame_mut(page).set_content(PageContent::non_zero(offset));
+                    }
+                }
+                Op::SetOwner { slot, offset, pid, vpn } => {
+                    if !live.is_empty() {
+                        let (pfn, order) = live[slot % live.len()];
+                        let page = Pfn(pfn.0 + offset % order.pages());
+                        let owner = OwnerTag { pid, vpn };
+                        pm.set_owner(page, Some(owner));
+                        owners.insert(page.0, owner);
+                    }
+                }
+                Op::ClearOwner { slot, offset } => {
+                    if !live.is_empty() {
+                        let (pfn, order) = live[slot % live.len()];
+                        let page = Pfn(pfn.0 + offset % order.pages());
+                        pm.set_owner(page, None);
+                        owners.remove(&page.0);
                     }
                 }
                 Op::Prezero { budget } => {
@@ -110,8 +145,16 @@ fn random_ops_preserve_invariants() {
             let live_pages: u64 = live.iter().map(|(_, o)| o.pages()).sum();
             assert_eq!(pm.allocated_pages(), live_pages);
             assert!(pm.zeroed_free_pages() <= pm.free_pages());
+            // Owners survive every split, merge and compaction around them.
+            for (&page, &owner) in &owners {
+                assert_eq!(pm.frame(Pfn(page)).owner(), Some(owner), "owner of frame {page}");
+            }
+            pm.check_invariants();
         }
-        pm.check_invariants();
+        for pfn in 0..FRAMES {
+            let want = owners.get(&pfn).copied();
+            assert_eq!(pm.frame(Pfn(pfn)).owner(), want, "frame {pfn}");
+        }
         // Freeing everything restores a fully-free system.
         for (pfn, order) in live.drain(..) {
             pm.free(pfn, order);

@@ -110,7 +110,7 @@ impl HugePagePolicy for FreeBsd {
         for i in 0..512u64 {
             let pfn = Pfn(a.pfn.0 + i);
             pm.set_kind(pfn, FrameKind::Anon);
-            pm.frame_mut(pfn).set_owner(Some(OwnerTag { pid, vpn: hvpn.vpn_at(i).0 }));
+            pm.set_owner(pfn, Some(OwnerTag { pid, vpn: hvpn.vpn_at(i).0 }));
             pm.set_movable(pfn, false);
         }
         let mut populated = Box::new([false; 512]);

@@ -54,14 +54,20 @@ cargo test --release -p hawkeye-kernel --test multicore_diff -q
 
 # Exactness gates in release: the fast path (touch executor, streaks)
 # against per-access modeling, the page table against a model that tracks
-# every mapping and its accessed/dirty bits, and the sentinel TLB sets
-# against the Vec+length reference. Tier-1 runs them in debug, where
-# `insert_absent`'s stale-victim `debug_assert!` is live; release checks
-# the code that actually ships, with the debug assertions compiled out.
-echo "==> exactness gates in release (fast path, page-table model, TLB oracle)"
+# every mapping and its accessed/dirty bits, the sentinel TLB sets
+# against the Vec+length reference, the buddy allocator's random
+# operations (owners sharing slots with free-list links, head-only
+# splits and merges) against its invariants, and the compactor against
+# the frame-scanning reference. Tier-1 runs them in debug, where
+# `insert_absent`'s stale-victim `debug_assert!` and the frame-state
+# `debug_assert!`s are live; release checks the code that actually
+# ships, with the debug assertions compiled out.
+echo "==> exactness gates in release (fast path, page-table model, TLB oracle, buddy, compaction oracle)"
 cargo test --release -p hawkeye-kernel --test diff_fast_path -q
 cargo test --release -p hawkeye-vm --test proptest_page_table -q
 cargo test --release -p hawkeye-tlb --lib matches_vec_and_len_reference -q
+cargo test --release -p hawkeye-mem --test proptest_buddy -q
+cargo test --release -p hawkeye-mem --lib compact::tests::compaction_matches_frame_scanning_reference -q
 
 # Docs-drift gate: the target and check counts stated in README.md and
 # EXPERIMENTS.md must agree with the registry (hawkeye-report --counts).
