@@ -35,7 +35,7 @@ fn simulate(name: &str, host_hawkeye: bool, guest_hawkeye: bool) -> f64 {
     let mut cfg = PolicyKind::Linux2m.config(1024);
     cfg.cross_merge = !host_hawkeye;
     let mut sys = VirtSystem::new(cfg, policy(host_hawkeye));
-    sys.with_host_mut(|h| h.fragment(1.0, 0.55, 7));
+    sys.host_mut().fragment(1.0, 0.55, 7);
     let vm = sys.add_vm(VmSpec { frames: 160 * 1024 }, policy(guest_hawkeye));
     sys.guest_mut(vm).fragment(1.0, 0.55, 9);
     let pid = sys.spawn_in_vm(vm, guest_workload(name));

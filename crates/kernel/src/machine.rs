@@ -14,6 +14,7 @@
 
 use crate::config::KernelConfig;
 use crate::multicore::{page_key, ConcRecorder};
+use crate::policy::FaultAction;
 use crate::process::Process;
 use crate::rng::SplitMix64;
 use crate::stats::KernelStats;
@@ -241,12 +242,6 @@ impl Machine {
         &self.recorder
     }
 
-    /// Records a metric sample at the current time.
-    pub fn record(&mut self, name: &str, value: f64) {
-        let now = self.clock.now();
-        self.recorder.record_at(name, now, value);
-    }
-
     /// Fraction of physical memory allocated.
     pub fn utilization(&self) -> f64 {
         self.pm.utilization()
@@ -410,6 +405,20 @@ impl Machine {
             self.pm.set_kind(pfn, FrameKind::Anon);
             self.pm.set_owner(pfn, Some(OwnerTag { pid, vpn: hvpn.vpn_at(i).0 }));
             self.pm.set_movable(pfn, false);
+        }
+    }
+
+    /// Serves a page fault as the policy chose. Returns the fault cycles
+    /// and whether the page was mapped huge.
+    ///
+    /// # Errors
+    ///
+    /// [`OutOfMemory`] if no frame could be allocated.
+    pub fn map_fault(&mut self, pid: u32, vpn: Vpn, action: FaultAction) -> Result<(Cycles, bool), OutOfMemory> {
+        match action {
+            FaultAction::MapBase => Ok((self.fault_map_base(pid, vpn)?, false)),
+            FaultAction::MapHuge => self.fault_map_huge(pid, vpn),
+            FaultAction::MapBaseAt(pfn) => Ok((self.fault_map_base_at(pid, vpn, pfn), false)),
         }
     }
 
@@ -900,7 +909,6 @@ impl Machine {
         let now = self.clock.now();
         let alloc = self.pm.allocated_pages() as f64;
         self.recorder.record_at("mem.allocated_pages", now, alloc);
-        self.recorder.record_at("mem.zeroed_free_pages", now, self.pm.zeroed_free_pages() as f64);
         self.metrics.set_gauge("mem.utilization", self.pm.utilization());
         self.metrics.set_gauge("mem.zeroed_free_pages", self.pm.zeroed_free_pages() as f64);
         // Journal a cumulative attribution snapshot so the analyzer can

@@ -7,7 +7,7 @@
 
 use crate::config::KernelConfig;
 use crate::machine::{Machine, OutOfMemory};
-use crate::policy::{FaultAction, HugePagePolicy, Steering};
+use crate::policy::{HugePagePolicy, Steering};
 use crate::process::{OpCursor, Process};
 use crate::workload::{MemOp, Workload};
 use hawkeye_mem::{Pfn, PhysMemory};
@@ -23,9 +23,10 @@ use hawkeye_vm::{PageSize, Translation, Vpn};
 /// the extra nested-walk cost when the host maps the frame with base
 /// pages.
 ///
-/// `Send` is a supertrait so a hooked simulator stays movable across
-/// threads (the virtualization bridge shares its host behind a mutex).
-pub trait AccessHook: Send {
+/// A hook is lent to one round ([`Simulator::round_with`]) and never
+/// stored, so it may borrow what it models (the virtualization layer's
+/// host) and needs no `Send` bound.
+pub trait AccessHook {
     /// Returns extra cycles charged to the access. `pfn` is the backing
     /// frame of the specific page; `walk` is the walk duration of this
     /// access (zero on TLB hits).
@@ -59,10 +60,9 @@ pub trait AccessHook: Send {
 /// ```
 pub struct Simulator {
     machine: Machine,
-    policy: Option<Box<dyn HugePagePolicy>>,
+    policy: Box<dyn HugePagePolicy>,
     next_tick: Cycles,
     next_sample: Cycles,
-    hook: Option<Box<dyn AccessHook>>,
     /// Scheduler quanta executed so far (see [`Simulator::quanta`]).
     quanta: u64,
 }
@@ -83,7 +83,23 @@ struct CpuLedger {
     idle: Cycles,
 }
 
-/// Why [`Simulator::touch_slice`] stopped.
+/// One process's quantum in progress: what it runs against (the machine,
+/// the policy, the round's lent hook) and what it has used so far. The
+/// op and touch executors are its methods.
+struct Quantum<'m, 'h> {
+    machine: &'m mut Machine,
+    policy: &'m mut dyn HugePagePolicy,
+    /// When present, sees every touch (streaks are not batched).
+    hook: Option<&'h mut dyn AccessHook>,
+    pid: u32,
+    /// The quantum's length: no touch starts once `spent ≥ len`.
+    len: Cycles,
+    /// Cycles used so far.
+    spent: Cycles,
+    ledger: CpuLedger,
+}
+
+/// Why [`Quantum::touch_slice`] stopped.
 #[derive(Clone, Copy)]
 enum SliceStop {
     /// The op's end, or the quantum is used up: the caller's loop head
@@ -92,7 +108,7 @@ enum SliceStop {
     /// The next page needs a fault; nothing was done for it yet.
     Fault,
     /// The touch just made, which translated to this, is followed by a
-    /// guaranteed-L1-hit streak for [`Simulator::charge_streak`].
+    /// guaranteed-L1-hit streak for [`Quantum::charge_streak`].
     Streak(Translation),
 }
 
@@ -114,10 +130,9 @@ impl Simulator {
         let next_sample = config.sample_period;
         Simulator {
             machine: Machine::new(config),
-            policy: Some(policy),
+            policy,
             next_tick,
             next_sample,
-            hook: None,
             quanta: 0,
         }
     }
@@ -128,11 +143,6 @@ impl Simulator {
     /// simulators never see each other's quanta.
     pub fn quanta(&self) -> u64 {
         self.quanta
-    }
-
-    /// Installs (or clears) the per-touch interposer.
-    pub fn set_access_hook(&mut self, hook: Option<Box<dyn AccessHook>>) {
-        self.hook = hook;
     }
 
     /// The machine.
@@ -147,7 +157,7 @@ impl Simulator {
 
     /// The installed policy's name.
     pub fn policy_name(&self) -> String {
-        self.policy.as_ref().map(|p| p.name().to_string()).unwrap_or_default()
+        self.policy.name().to_string()
     }
 
     /// Spawns a process running `workload`.
@@ -159,9 +169,7 @@ impl Simulator {
     /// (fleet hook API). Call at quantum boundaries only — between
     /// [`Simulator::run_for`] slices — never mid-run.
     pub fn steer(&mut self, s: &Steering) {
-        let mut policy = self.policy.take().expect("policy installed");
-        policy.on_steer(&mut self.machine, s);
-        self.policy = Some(policy);
+        self.policy.on_steer(&mut self.machine, s);
     }
 
     /// Force-terminates `pid` (fleet migration: the tenant leaves this
@@ -175,9 +183,7 @@ impl Simulator {
         self.machine.exit_process(pid);
         let at = self.machine.now();
         self.machine.process_mut(pid).expect("exists").mark_finished(at, false);
-        let mut policy = self.policy.take().expect("policy installed");
-        policy.on_exit(&mut self.machine, pid);
-        self.policy = Some(policy);
+        self.policy.on_exit(&mut self.machine, pid);
     }
 
     /// Balloons `pages` pages out of `pid` starting at `start`
@@ -185,9 +191,7 @@ impl Simulator {
     /// the policy's release hook. Returns the simulated cost charged.
     pub fn balloon(&mut self, pid: u32, start: Vpn, pages: u64) -> Cycles {
         let cost = self.machine.madvise_dontneed(pid, start, pages);
-        let mut policy = self.policy.take().expect("policy installed");
-        policy.on_release(&mut self.machine, pid, start, pages);
-        self.policy = Some(policy);
+        self.policy.on_release(&mut self.machine, pid, start, pages);
         cost
     }
 
@@ -219,14 +223,20 @@ impl Simulator {
     /// Executes one scheduler round and counts it as a quantum. Returns
     /// false, counting nothing, when no process is runnable.
     pub fn round(&mut self) -> bool {
+        self.round_with(None)
+    }
+
+    /// [`Simulator::round`] with `hook` lent for the round: it sees every
+    /// page touch of every process, one call per touch.
+    pub fn round_with(&mut self, mut hook: Option<&mut dyn AccessHook>) -> bool {
         let pids = self.machine.running_pids();
         if pids.is_empty() {
             return false;
         }
         let quantum = self.machine.config().quantum;
-        let mut policy = self.policy.take().expect("policy installed");
         for pid in pids {
-            self.step_process(&mut *policy, pid, quantum);
+            let hook = hook.as_mut().map(|h| &mut **h as &mut dyn AccessHook);
+            self.step_process(pid, quantum, hook);
         }
         // Drain walk durations batched during the quantum into the
         // registry (additive merge — readers see exactly what per-walk
@@ -235,7 +245,7 @@ impl Simulator {
         self.machine.advance(quantum);
         let now = self.machine.now();
         if now >= self.next_tick {
-            policy.on_tick(&mut self.machine);
+            self.policy.on_tick(&mut self.machine);
             self.next_tick += self.machine.config().tick_period;
         }
         let sample_period = self.machine.config().sample_period;
@@ -243,22 +253,28 @@ impl Simulator {
             self.machine.sample_metrics();
             self.next_sample += sample_period;
         }
-        self.policy = Some(policy);
         self.quanta += 1;
         crate::sched_stats::count_quantum();
         true
     }
 
     /// Runs one process for (up to) a quantum of its own CPU.
-    fn step_process(&mut self, policy: &mut dyn HugePagePolicy, pid: u32, quantum: Cycles) {
+    fn step_process(&mut self, pid: u32, quantum: Cycles, hook: Option<&mut dyn AccessHook>) {
         let base_now = self.machine.now();
-        let mut spent = Cycles::ZERO;
-        let mut ledger = CpuLedger::default();
+        let mut q = Quantum {
+            machine: &mut self.machine,
+            policy: &mut *self.policy,
+            hook,
+            pid,
+            len: quantum,
+            spent: Cycles::ZERO,
+            ledger: CpuLedger::default(),
+        };
         let mut finished = false;
         let mut oom = false;
-        while spent < quantum {
+        while q.spent < quantum {
             let cursor = {
-                let p = self.machine.process_mut(pid).expect("running process");
+                let p = q.machine.process_mut(pid).expect("running process");
                 match p.pending.take() {
                     Some(c) => Some(c),
                     None => p.next_op().map(|op| OpCursor { op, progress: 0 }),
@@ -268,9 +284,9 @@ impl Simulator {
                 finished = true;
                 break;
             };
-            match self.exec_slice(policy, pid, cursor, quantum, &mut spent, &mut ledger) {
+            match q.exec_slice(cursor) {
                 Ok(Some(rest)) => {
-                    self.machine.process_mut(pid).expect("exists").pending = Some(rest);
+                    q.machine.process_mut(pid).expect("exists").pending = Some(rest);
                 }
                 Ok(None) => {}
                 Err(OutOfMemory) => {
@@ -280,6 +296,7 @@ impl Simulator {
                 }
             }
         }
+        let (spent, ledger) = (q.spent, q.ledger);
         {
             // Attribute the run loop's share of this quantum; the fault
             // primitives charged theirs already. Together they sum to
@@ -299,28 +316,23 @@ impl Simulator {
             self.machine.exit_process(pid);
             let at = base_now + spent;
             self.machine.process_mut(pid).expect("exists").mark_finished(at, oom);
-            policy.on_exit(&mut self.machine, pid);
+            self.policy.on_exit(&mut self.machine, pid);
         }
     }
+}
 
+impl Quantum<'_, '_> {
     /// Executes (part of) one op; returns the remaining cursor when the
     /// quantum expires mid-op.
-    fn exec_slice(
-        &mut self,
-        policy: &mut dyn HugePagePolicy,
-        pid: u32,
-        mut cursor: OpCursor,
-        quantum: Cycles,
-        spent: &mut Cycles,
-        ledger: &mut CpuLedger,
-    ) -> Result<Option<OpCursor>, OutOfMemory> {
+    fn exec_slice(&mut self, mut cursor: OpCursor) -> Result<Option<OpCursor>, OutOfMemory> {
+        let pid = self.pid;
         let syscall_cost = Cycles::from_nanos(500);
         match &cursor.op {
             MemOp::Mmap { start, pages, kind } => {
                 let p = self.machine.process_mut(pid).expect("exists");
                 p.space_mut().mmap(*start, *pages, *kind).expect("workload mmap is valid");
-                *spent += syscall_cost;
-                ledger.fault += syscall_cost;
+                self.spent += syscall_cost;
+                self.ledger.fault += syscall_cost;
                 Ok(None)
             }
             MemOp::Munmap { start } => {
@@ -332,40 +344,40 @@ impl Simulator {
                 if let Some((s, pages)) = range {
                     // The madvise cost is attributed inside the machine;
                     // only the syscall entry is the run loop's to tag.
-                    *spent += self.machine.madvise_dontneed(pid, s, pages) + syscall_cost;
-                    ledger.fault += syscall_cost;
+                    self.spent += self.machine.madvise_dontneed(pid, s, pages) + syscall_cost;
+                    self.ledger.fault += syscall_cost;
                     let p = self.machine.process_mut(pid).expect("exists");
                     let _ = p.space_mut().munmap(s);
-                    policy.on_release(&mut self.machine, pid, s, pages);
+                    self.policy.on_release(self.machine, pid, s, pages);
                 }
                 Ok(None)
             }
             MemOp::Madvise { start, pages } => {
                 let (start, pages) = (*start, *pages);
-                *spent += self.machine.madvise_dontneed(pid, start, pages) + syscall_cost;
-                ledger.fault += syscall_cost;
-                policy.on_release(&mut self.machine, pid, start, pages);
+                self.spent += self.machine.madvise_dontneed(pid, start, pages) + syscall_cost;
+                self.ledger.fault += syscall_cost;
+                self.policy.on_release(self.machine, pid, start, pages);
                 Ok(None)
             }
             MemOp::Compute { cycles } => {
                 let total = Cycles::new(*cycles);
                 let done = Cycles::new(cursor.progress);
                 let left = total.saturating_sub(done);
-                let room = quantum.saturating_sub(*spent);
+                let room = self.len.saturating_sub(self.spent);
                 if left <= room {
-                    *spent += left;
-                    ledger.idle += left;
+                    self.spent += left;
+                    self.ledger.idle += left;
                     Ok(None)
                 } else {
-                    *spent += room;
-                    ledger.idle += room;
+                    self.spent += room;
+                    self.ledger.idle += room;
                     cursor.progress += room.get();
                     Ok(Some(cursor))
                 }
             }
             MemOp::Touch { vpn, write, repeats, think } => {
                 let (vpn, write, repeats, think) = (*vpn, *write, *repeats, *think);
-                self.touch_page(policy, pid, vpn, write, repeats, think, spent, ledger)?;
+                self.touch_page(vpn, write, repeats, think)?;
                 Ok(None)
             }
             MemOp::TouchRange { start, pages, write, think, stride, repeats } => {
@@ -377,14 +389,11 @@ impl Simulator {
                 let streak = |next: u64, tr: &Translation| fast && tr.size == PageSize::Huge && next < pages;
                 let mut i = cursor.progress;
                 while i < pages {
-                    if *spent >= quantum {
+                    if self.spent >= self.len {
                         cursor.progress = i;
                         return Ok(Some(cursor));
                     }
-                    let Some(tr) = self.touches(
-                        policy, pid, &mut i, pages, page, streak, write, repeats, think, quantum, spent, ledger,
-                    )?
-                    else {
+                    let Some(tr) = self.touches(&mut i, pages, page, streak, write, repeats, think)? else {
                         continue;
                     };
                     if streak(i, &tr) {
@@ -394,15 +403,11 @@ impl Simulator {
                         let vpn = page(i - 1);
                         let max = (pages - i).min(511 - vpn.huge_offset());
                         i += self.charge_streak(
-                            pid,
                             StreakShape::Consecutive { after: vpn, region_pfn: Pfn(tr.pfn.0 - vpn.huge_offset()) },
                             write,
                             repeats,
                             think,
                             max,
-                            quantum,
-                            spent,
-                            ledger,
                         );
                     }
                 }
@@ -424,25 +429,11 @@ impl Simulator {
                 };
                 let mut i = cursor.progress;
                 while i < vpns.len() as u64 {
-                    if *spent >= quantum {
+                    if self.spent >= self.len {
                         cursor.progress = i;
                         return Ok(Some(cursor));
                     }
-                    let Some(tr) = self.touches(
-                        policy,
-                        pid,
-                        &mut i,
-                        vpns.len() as u64,
-                        page,
-                        streak,
-                        write,
-                        1,
-                        think,
-                        quantum,
-                        spent,
-                        ledger,
-                    )?
-                    else {
+                    let Some(tr) = self.touches(&mut i, vpns.len() as u64, page, streak, write, 1, think)? else {
                         continue;
                     };
                     if streak(i, &tr) {
@@ -454,15 +445,11 @@ impl Simulator {
                             PageSize::Base => tr.pfn,
                         };
                         i += self.charge_streak(
-                            pid,
                             StreakShape::Listed { vpns: rest, size: tr.size, region_pfn },
                             write,
                             1,
                             think,
                             run,
-                            quantum,
-                            spent,
-                            ledger,
                         );
                     }
                 }
@@ -473,16 +460,14 @@ impl Simulator {
 
     /// Runs the next touches of a `TouchRange` or `TouchList` op, from
     /// page index `*i` of `end`, and advances `*i` past them. With the
-    /// fast path on, [`Simulator::touch_slice`] runs as many as it can;
+    /// fast path on, [`Quantum::touch_slice`] runs as many as it can;
     /// a page that needs a fault, and every page with the fast path off,
-    /// goes through [`Simulator::touch_page`] alone. Returns the last
+    /// goes through [`Quantum::touch_page`] alone. Returns the last
     /// touch's translation, after which the caller checks for a streak,
     /// or `None` when the op's end or the quantum stopped the slice.
     #[allow(clippy::too_many_arguments)]
     fn touches(
         &mut self,
-        policy: &mut dyn HugePagePolicy,
-        pid: u32,
         i: &mut u64,
         end: u64,
         page: impl Fn(u64) -> Vpn,
@@ -490,18 +475,15 @@ impl Simulator {
         write: bool,
         repeats: u32,
         think: u32,
-        quantum: Cycles,
-        spent: &mut Cycles,
-        ledger: &mut CpuLedger,
     ) -> Result<Option<Translation>, OutOfMemory> {
         if self.fast_path_on() {
-            match self.touch_slice(pid, i, end, &page, streak_after, write, repeats, think, quantum, spent, ledger) {
+            match self.touch_slice(i, end, &page, streak_after, write, repeats, think) {
                 SliceStop::Yield => return Ok(None),
                 SliceStop::Streak(tr) => return Ok(Some(tr)),
                 SliceStop::Fault => {}
             }
         }
-        let tr = self.touch_page(policy, pid, page(*i), write, repeats, think, spent, ledger)?;
+        let tr = self.touch_page(page(*i), write, repeats, think)?;
         *i += 1;
         Ok(Some(tr))
     }
@@ -538,26 +520,14 @@ impl Simulator {
     ///   order (it advances the workload's RNG), and each touched frame
     ///   gets its sample; no observer runs mid-streak (policy ticks only
     ///   happen between rounds, and hooks disable batching).
-    #[allow(clippy::too_many_arguments)]
-    fn charge_streak(
-        &mut self,
-        pid: u32,
-        shape: StreakShape<'_>,
-        write: bool,
-        repeats: u32,
-        think: u32,
-        max: u64,
-        quantum: Cycles,
-        spent: &mut Cycles,
-        ledger: &mut CpuLedger,
-    ) -> u64 {
+    fn charge_streak(&mut self, shape: StreakShape<'_>, write: bool, repeats: u32, think: u32, max: u64) -> u64 {
         if max == 0 {
             return 0;
         }
-        let (p, mmu, pm, config) = self.machine.touch_parts(pid).expect("exists");
+        let (p, mmu, pm, config) = self.machine.touch_parts(self.pid).expect("exists");
         let c_touch = (config.costs.access + Cycles::new(think as u64)) * repeats as u64;
         let n = if c_touch > Cycles::ZERO {
-            let room = quantum.saturating_sub(*spent);
+            let room = self.len.saturating_sub(self.spent);
             if room == Cycles::ZERO {
                 return 0;
             }
@@ -569,11 +539,11 @@ impl Simulator {
             StreakShape::Consecutive { after, .. } => (Vpn(after.0 + 1), PageSize::Huge),
             StreakShape::Listed { vpns, size, .. } => (vpns[0], size),
         };
-        if !mmu.record_l1_hits(pid, probe_vpn, size, n) {
+        if !mmu.record_l1_hits(self.pid, probe_vpn, size, n) {
             return 0;
         }
-        *spent += c_touch * n;
-        ledger.idle += c_touch * n;
+        self.spent += c_touch * n;
+        self.ledger.idle += c_touch * n;
         if write {
             // One dirt draw per touch, in op order; frame contents never
             // feed back into the workload RNG, so draw-then-apply per
@@ -598,7 +568,7 @@ impl Simulator {
         n
     }
 
-    /// One page touch: [`Simulator::touch_mapped`] (translation with TLB
+    /// One page touch: [`Quantum::touch_mapped`] (translation with TLB
     /// timing, content dirtying, repeat accesses), taking one fault via
     /// the policy each time it finds no usable mapping. Costs accumulate
     /// directly into `spent` (and their attribution into `ledger`), so
@@ -618,22 +588,12 @@ impl Simulator {
     /// can legitimately fault twice (unmapped, then the policy maps the
     /// region zero-COW and a write must immediately COW), which is why
     /// the loop guard allows a few iterations.
-    #[allow(clippy::too_many_arguments)]
-    fn touch_page(
-        &mut self,
-        policy: &mut dyn HugePagePolicy,
-        pid: u32,
-        vpn: Vpn,
-        write: bool,
-        repeats: u32,
-        think: u32,
-        spent: &mut Cycles,
-        ledger: &mut CpuLedger,
-    ) -> Result<Translation, OutOfMemory> {
+    fn touch_page(&mut self, vpn: Vpn, write: bool, repeats: u32, think: u32) -> Result<Translation, OutOfMemory> {
+        let pid = self.pid;
         let repeats = repeats.max(1);
         let mut guard = 0;
         loop {
-            if let Some(tr) = self.touch_mapped(pid, vpn, write, repeats, think, spent, ledger) {
+            if let Some(tr) = self.touch_mapped(vpn, write, repeats, think) {
                 return Ok(tr);
             }
             guard += 1;
@@ -648,13 +608,16 @@ impl Simulator {
             let (fault_cost, huge) = if write && zero_cow {
                 (self.machine.cow_fault(pid, vpn)?, false)
             } else {
-                let action = policy.on_fault(&mut self.machine, pid, vpn);
-                self.apply_fault_action(pid, vpn, action)?
+                let action = self.policy.on_fault(self.machine, pid, vpn);
+                self.machine.map_fault(pid, vpn, action)?
             };
-            *spent += fault_cost;
+            self.spent += fault_cost;
             let p = self.machine.process_mut(pid).expect("exists");
             let st = p.stats_mut();
             st.faults += 1;
+            if huge {
+                st.huge_faults += 1;
+            }
             st.fault_cycles += fault_cost;
             self.machine.metrics().observe("fault_cycles", fault_cost.get());
             self.machine.trace().emit(
@@ -673,29 +636,20 @@ impl Simulator {
     /// zero-COW): one process lookup serves [`touch_body`], the access
     /// hook and the stats update. Returns `None` — with no state change
     /// beyond the side-effect-free failed translation — when a fault is
-    /// needed; [`Simulator::touch_page`] takes it and retries.
-    #[allow(clippy::too_many_arguments)]
-    fn touch_mapped(
-        &mut self,
-        pid: u32,
-        vpn: Vpn,
-        write: bool,
-        repeats: u32,
-        think: u32,
-        spent: &mut Cycles,
-        ledger: &mut CpuLedger,
-    ) -> Option<Translation> {
+    /// needed; [`Quantum::touch_page`] takes it and retries.
+    fn touch_mapped(&mut self, vpn: Vpn, write: bool, repeats: u32, think: u32) -> Option<Translation> {
+        let pid = self.pid;
         let (p, mmu, pm, config) = self.machine.touch_parts(pid).expect("running process");
         let (translation, out) = touch_body(p, mmu, pm, pid, vpn, write)?;
         let compute = (config.costs.access + Cycles::new(think as u64)) * repeats as u64;
-        *spent += out.cycles + compute;
-        ledger.walk += out.cycles;
-        ledger.idle += compute;
+        self.spent += out.cycles + compute;
+        self.ledger.walk += out.cycles;
+        self.ledger.idle += compute;
         if let Some(hook) = self.hook.as_mut() {
             let hook_cost =
                 hook.on_touch(pid, vpn, translation.pfn, translation.size, write, out.walk_cycles);
-            *spent += hook_cost;
-            ledger.fault += hook_cost;
+            self.spent += hook_cost;
+            self.ledger.fault += hook_cost;
         }
         let st = p.stats_mut();
         st.touches += 1;
@@ -707,7 +661,7 @@ impl Simulator {
     /// `end`, advancing `*i` past them (fast path, no hook). The
     /// process, MMU and memory are borrowed once, and the cycle, ledger
     /// and stats updates are summed in locals and applied once. Each
-    /// touch is [`touch_body`], exactly as [`Simulator::touch_mapped`]
+    /// touch is [`touch_body`], exactly as [`Quantum::touch_mapped`]
     /// runs it. Stops at the op's end, before a touch when
     /// `spent ≥ quantum` (the per-touch loop's check), at the first page
     /// that needs a fault, or after a touch for which
@@ -719,7 +673,6 @@ impl Simulator {
     #[allow(clippy::too_many_arguments)]
     fn touch_slice(
         &mut self,
-        pid: u32,
         i: &mut u64,
         end: u64,
         page: impl Fn(u64) -> Vpn,
@@ -727,13 +680,11 @@ impl Simulator {
         write: bool,
         repeats: u32,
         think: u32,
-        quantum: Cycles,
-        spent: &mut Cycles,
-        ledger: &mut CpuLedger,
     ) -> SliceStop {
+        let (pid, quantum) = (self.pid, self.len);
         let (p, mmu, pm, config) = self.machine.touch_parts(pid).expect("running process");
         let compute = (config.costs.access + Cycles::new(think as u64)) * repeats as u64;
-        let (mut now, mut walk, mut touches) = (*spent, Cycles::ZERO, 0u64);
+        let (mut now, mut walk, mut touches) = (self.spent, Cycles::ZERO, 0u64);
         let stop = loop {
             if *i >= end || now >= quantum {
                 break SliceStop::Yield;
@@ -749,43 +700,20 @@ impl Simulator {
                 break SliceStop::Streak(tr);
             }
         };
-        *spent = now;
-        ledger.walk += walk;
-        ledger.idle += compute * touches;
+        self.spent = now;
+        self.ledger.walk += walk;
+        self.ledger.idle += compute * touches;
         let st = p.stats_mut();
         st.touches += touches;
         st.accesses += repeats as u64 * touches;
         stop
-    }
-
-    /// Returns the fault cost and whether the fault was served huge.
-    fn apply_fault_action(
-        &mut self,
-        pid: u32,
-        vpn: Vpn,
-        action: FaultAction,
-    ) -> Result<(Cycles, bool), OutOfMemory> {
-        match action {
-            FaultAction::MapBase => Ok((self.machine.fault_map_base(pid, vpn)?, false)),
-            FaultAction::MapHuge => {
-                let (cost, huge) = self.machine.fault_map_huge(pid, vpn)?;
-                if huge {
-                    let p = self.machine.process_mut(pid).expect("exists");
-                    p.stats_mut().huge_faults += 1;
-                }
-                Ok((cost, huge))
-            }
-            FaultAction::MapBaseAt(pfn) => {
-                Ok((self.machine.fault_map_base_at(pid, vpn, pfn), false))
-            }
-        }
     }
 }
 
 /// The body of one touch of a mapped page: translate (setting the
 /// accessed and dirty bits), model the access's TLB timing, and on a
 /// write dirty the frame with the workload's next dirt draw. The one copy
-/// shared by [`Simulator::touch_mapped`] and [`Simulator::touch_slice`],
+/// shared by [`Quantum::touch_mapped`] and [`Quantum::touch_slice`],
 /// so both make the page-table, TLB and dirt-RNG calls in the same order.
 /// Returns `None`, changing nothing, when the touch needs a fault.
 #[inline(always)]
@@ -809,7 +737,7 @@ fn touch_body(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::BasePagesOnly;
+    use crate::policy::{BasePagesOnly, FaultAction};
     use crate::workload::script;
     use hawkeye_vm::VmaKind;
 
@@ -845,7 +773,49 @@ mod tests {
         assert_send::<Machine>();
         assert_send::<Box<dyn HugePagePolicy>>();
         assert_send::<Box<dyn Workload>>();
-        assert_send::<Box<dyn AccessHook>>();
+    }
+
+    /// Counts the touches it is lent for.
+    struct CountingHook(u64);
+    impl AccessHook for CountingHook {
+        fn on_touch(&mut self, _: u32, _: Vpn, _: Pfn, _: PageSize, _: bool, _: Cycles) -> Cycles {
+            self.0 += 1;
+            Cycles::ZERO
+        }
+    }
+
+    #[test]
+    fn hooked_rounds_run_touch_by_touch() {
+        // A huge-page range and a list revisiting one huge region: without
+        // a hook, the fast path runs both as guaranteed-hit streaks.
+        let workload = || {
+            script(
+                "streaks",
+                vec![
+                    MemOp::Mmap { start: Vpn(0), pages: 2048, kind: VmaKind::Anon },
+                    MemOp::TouchRange { start: Vpn(0), pages: 2048, write: true, think: 10, stride: 1, repeats: 1 },
+                    MemOp::TouchList { vpns: (0..3000).map(|i| Vpn(i % 7)).collect(), write: true, think: 10 },
+                ],
+            )
+        };
+        let mut hooked = Simulator::new(KernelConfig::small(), Box::new(AlwaysHuge));
+        let pid = hooked.spawn(workload());
+        let mut hook = CountingHook(0);
+        while hooked.round_with(Some(&mut hook)) {}
+        let mut cfg = KernelConfig::small();
+        cfg.fast_path = false;
+        let mut reference = Simulator::new(cfg, Box::new(AlwaysHuge));
+        reference.spawn(workload());
+        while reference.round() {}
+
+        let (h, r) = (hooked.machine(), reference.machine());
+        let stats = h.process(pid).unwrap().stats();
+        assert_eq!(stats.touches, 2048 + 3000);
+        assert_eq!(hook.0, stats.touches, "the hook sees every touch");
+        assert_eq!(stats, r.process(pid).unwrap().stats(), "proc stats");
+        assert_eq!(h.process(pid).unwrap().cpu_time(), r.process(pid).unwrap().cpu_time());
+        assert_eq!(h.mmu().lifetime(pid), r.mmu().lifetime(pid), "pmu counters");
+        assert_eq!(h.stats(), r.stats(), "kernel stats");
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! EPT faults on first access, copy-on-write when host KSM merged the
 //! frame into the zero page, swap-in when the frame was evicted, and the
 //! extra nested-walk cost whenever the host side maps the frame with base
-//! pages.
+//! pages. The bridge borrows the host for one guest round at a time
+//! ([`Simulator::round_with`]), so the host is plain owned data of the
+//! [`VirtSystem`].
 
-use hawkeye_kernel::{
-    AccessHook, FaultAction, HugePagePolicy, KernelConfig, Machine, Simulator, Workload,
-};
+use hawkeye_kernel::machine::OutOfMemory;
+use hawkeye_kernel::{AccessHook, HugePagePolicy, KernelConfig, Machine, Simulator, Workload};
 use hawkeye_mem::{PageContent, Pfn};
 use hawkeye_metrics::Cycles;
 use hawkeye_trace::TraceEvent;
@@ -21,7 +22,6 @@ use hawkeye_vm::{Hvpn, PageSize, VmaKind, Vpn};
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Error from the host side of the virtualization bridge.
 ///
@@ -207,9 +207,8 @@ impl HostSide {
                         .map(|t| t.zero_cow)
                         .unwrap_or(false);
                     if write && zero_cow {
-                        let (c, _) = self.fallible(host_pid, vpn, |hs, pid, v| {
-                            hs.machine.cow_fault(pid, v).map(|c| (c, false)).map_err(|_| ())
-                        })?;
+                        let (c, _) =
+                            self.fallible(host_pid, vpn, |m| m.cow_fault(host_pid, vpn).map(|c| (c, false)))?;
                         cost += c;
                         self.stats.host_cow_faults += 1;
                         self.machine.metrics().add("virt.host_cow_faults", 1);
@@ -226,7 +225,7 @@ impl HostSide {
                     }
                     // EPT violation: ask the host policy.
                     let action = self.policy.on_fault(&mut self.machine, host_pid, vpn);
-                    let (c, huge) = self.apply_fault(host_pid, vpn, action)?;
+                    let (c, huge) = self.fallible(host_pid, vpn, |m| m.map_fault(host_pid, vpn, action))?;
                     cost += c;
                     self.stats.ept_faults += 1;
                     self.machine.metrics().add("virt.ept_faults", 1);
@@ -239,28 +238,9 @@ impl HostSide {
         }
     }
 
-    /// Returns the fault cost and whether the host mapped the page huge.
-    fn apply_fault(
-        &mut self,
-        pid: u32,
-        vpn: Vpn,
-        action: FaultAction,
-    ) -> Result<(Cycles, bool), VirtError> {
-        match action {
-            FaultAction::MapBase => self.fallible(pid, vpn, |hs, pid, v| {
-                hs.machine.fault_map_base(pid, v).map(|c| (c, false)).map_err(|_| ())
-            }),
-            FaultAction::MapHuge => self.fallible(pid, vpn, |hs, pid, v| {
-                hs.machine.fault_map_huge(pid, v).map_err(|_| ())
-            }),
-            FaultAction::MapBaseAt(pfn) => {
-                Ok((self.machine.fault_map_base_at(pid, vpn, pfn), false))
-            }
-        }
-    }
-
-    /// Runs a fallible host mapping operation, swapping pages out and
-    /// retrying on memory exhaustion.
+    /// Runs a fallible host mapping operation for `pid`'s `vpn`, swapping
+    /// other pages out and retrying on memory exhaustion. Returns the
+    /// operation's cost plus the swap-outs' and whether it mapped huge.
     ///
     /// # Errors
     ///
@@ -270,13 +250,13 @@ impl HostSide {
         &mut self,
         pid: u32,
         vpn: Vpn,
-        mut op: impl FnMut(&mut Self, u32, Vpn) -> Result<(Cycles, bool), ()>,
+        mut op: impl FnMut(&mut Machine) -> Result<(Cycles, bool), OutOfMemory>,
     ) -> Result<(Cycles, bool), VirtError> {
         let mut cost = Cycles::ZERO;
         for _ in 0..64 {
-            match op(self, pid, vpn) {
+            match op(&mut self.machine) {
                 Ok((c, huge)) => return Ok((cost + c, huge)),
-                Err(()) => {
+                Err(OutOfMemory) => {
                     let evicted = self.swap_out(1024, (pid, vpn.0));
                     if evicted == 0 {
                         return Err(VirtError::NothingEvictable);
@@ -332,12 +312,13 @@ impl HostSide {
     }
 }
 
-struct HostBridge {
-    host: Arc<Mutex<HostSide>>,
+/// The access hook a guest round borrows the host through.
+struct HostBridge<'a> {
+    host: &'a mut HostSide,
     host_pid: u32,
 }
 
-impl AccessHook for HostBridge {
+impl AccessHook for HostBridge<'_> {
     fn on_touch(
         &mut self,
         _pid: u32,
@@ -347,13 +328,12 @@ impl AccessHook for HostBridge {
         write: bool,
         walk: Cycles,
     ) -> Cycles {
-        let mut host = self.host.lock().expect("host mutex poisoned");
-        match host.guest_touch(self.host_pid, pfn.0, write, walk) {
+        match self.host.guest_touch(self.host_pid, pfn.0, write, walk) {
             Ok(cost) => cost,
             Err(_) => {
                 // Degrade instead of aborting the suite: the touch is
                 // dropped and the error surfaces in the stats.
-                host.stats.bridge_errors += 1;
+                self.host.stats.bridge_errors += 1;
                 Cycles::ZERO
             }
         }
@@ -368,14 +348,8 @@ struct VmEntry {
 }
 
 /// A host plus a set of VMs.
-///
-/// The host sits behind an `Arc<Mutex<..>>` shared with the per-VM
-/// `HostBridge`s, keeping the whole system `Send`: a bench scenario can
-/// build a `VirtSystem` on one thread and run it on another. The mutex is
-/// uncontended — guests run rounds sequentially within one system — so
-/// locking is a pointer check, not a scalability cost.
 pub struct VirtSystem {
-    host: Arc<Mutex<HostSide>>,
+    host: HostSide,
     vms: Vec<VmEntry>,
     guest_template: KernelConfig,
     next_tick: Cycles,
@@ -398,7 +372,7 @@ impl VirtSystem {
         let next_tick = guest_template.tick_period;
         let machine = Machine::new(host_cfg);
         VirtSystem {
-            host: Arc::new(Mutex::new(HostSide {
+            host: HostSide {
                 machine,
                 policy: host_policy,
                 cfg: vcfg,
@@ -406,38 +380,29 @@ impl VirtSystem {
                 host_pids: Vec::new(),
                 evict_rr: 0,
                 stats: VirtStats::default(),
-            })),
+            },
             vms: Vec::new(),
             guest_template,
             next_tick,
         }
     }
 
-    /// Locks the host side (uncontended within one system).
-    fn host(&self) -> MutexGuard<'_, HostSide> {
-        self.host.lock().expect("host mutex poisoned")
-    }
-
     /// Creates a VM of `spec.frames` guest-physical frames running
     /// `guest_policy` in its kernel.
     pub fn add_vm(&mut self, spec: VmSpec, guest_policy: Box<dyn HugePagePolicy>) -> VmId {
-        let host_pid = {
-            let mut host = self.host();
-            let pid = host.machine.spawn(hawkeye_kernel::workload::script("vm", vec![]));
-            host.machine
-                .process_mut(pid)
-                .expect("just spawned")
-                .space_mut()
-                .mmap(Vpn(0), spec.frames, VmaKind::Anon)
-                .expect("fresh space");
-            host.host_pids.push(pid);
-            pid
-        };
+        let host = &mut self.host;
+        let host_pid = host.machine.spawn(hawkeye_kernel::workload::script("vm", vec![]));
+        host.machine
+            .process_mut(host_pid)
+            .expect("just spawned")
+            .space_mut()
+            .mmap(Vpn(0), spec.frames, VmaKind::Anon)
+            .expect("fresh space");
+        host.host_pids.push(host_pid);
         let mut guest_cfg = self.guest_template.clone();
         guest_cfg.frames = spec.frames;
         guest_cfg.nested = true; // two-dimensional walks
-        let mut sim = Simulator::new(guest_cfg, guest_policy);
-        sim.set_access_hook(Some(Box::new(HostBridge { host: Arc::clone(&self.host), host_pid })));
+        let sim = Simulator::new(guest_cfg, guest_policy);
         self.vms.push(VmEntry { sim, host_pid, ksm_cursor: 0, balloon_cursor: 0 });
         VmId(self.vms.len() - 1)
     }
@@ -458,20 +423,19 @@ impl VirtSystem {
         self.vms[vm.0].sim.machine_mut()
     }
 
-    /// Reads host state through a closure (the host sits behind a mutex
-    /// shared with the per-VM bridges).
-    pub fn with_host<R>(&self, f: impl FnOnce(&Machine) -> R) -> R {
-        f(&self.host().machine)
+    /// The host machine.
+    pub fn host(&self) -> &Machine {
+        &self.host.machine
     }
 
-    /// Mutates host state through a closure (fragmentation setup etc.).
-    pub fn with_host_mut<R>(&mut self, f: impl FnOnce(&mut Machine) -> R) -> R {
-        f(&mut self.host().machine)
+    /// Mutable host machine (experiment setup: fragmentation etc.).
+    pub fn host_mut(&mut self) -> &mut Machine {
+        &mut self.host.machine
     }
 
     /// Host-side virtualization counters.
     pub fn virt_stats(&self) -> VirtStats {
-        self.host().stats
+        self.host.stats
     }
 
     /// Runs until every guest workload completes (or each guest hits its
@@ -483,51 +447,40 @@ impl VirtSystem {
     /// Runs while the predicate over the host machine holds.
     pub fn run_while(&mut self, mut keep_going: impl FnMut(&Machine) -> bool) -> Cycles {
         loop {
-            if !keep_going(&self.host().machine) {
+            if !keep_going(&self.host.machine) {
                 break;
             }
             let mut any = false;
             for vm in &mut self.vms {
-                any |= vm.sim.round();
+                let mut bridge = HostBridge { host: &mut self.host, host_pid: vm.host_pid };
+                any |= vm.sim.round_with(Some(&mut bridge));
             }
             if !any {
                 break;
             }
             self.host_round();
-            let now = self.host().machine.now();
-            if now >= self.guest_template.max_time {
+            if self.host.machine.now() >= self.guest_template.max_time {
                 break;
             }
         }
-        self.host().machine.now()
+        self.host.machine.now()
     }
 
     fn host_round(&mut self) {
-        let quantum = self.guest_template.quantum;
-        {
-            let mut host = self.host();
-            host.machine.advance(quantum);
-        }
-        let now = self.host().machine.now();
-        if now < self.next_tick {
+        let host = &mut self.host;
+        host.machine.advance(self.guest_template.quantum);
+        if host.machine.now() < self.next_tick {
             return;
         }
         self.next_tick += self.guest_template.tick_period;
-        {
-            let mut host = self.host();
-            let HostSide { machine, policy, .. } = &mut *host;
-            policy.on_tick(machine);
-        }
-        let (ksm, balloon, ksm_budget, balloon_budget) = {
-            let h = self.host();
-            (h.cfg.ksm, h.cfg.balloon, h.cfg.ksm_pages_per_tick, h.cfg.balloon_pages_per_tick)
-        };
+        host.policy.on_tick(&mut host.machine);
+        let VirtConfig { ksm, balloon, ksm_pages_per_tick, balloon_pages_per_tick, .. } = host.cfg;
         for i in 0..self.vms.len() {
             if balloon {
-                self.balloon_pass(i, balloon_budget);
+                self.balloon_pass(i, balloon_pages_per_tick);
             }
             if ksm {
-                self.ksm_pass(i, ksm_budget);
+                self.ksm_pass(i, ksm_pages_per_tick);
             }
         }
     }
@@ -536,7 +489,7 @@ impl VirtSystem {
     fn balloon_pass(&mut self, vm: usize, budget: u64) {
         let host_pid = self.vms[vm].host_pid;
         let frames = self.vms[vm].sim.machine().pm().total_frames();
-        let mut host = self.host.lock().expect("host mutex poisoned");
+        let host = &mut self.host;
         let mut cursor = self.vms[vm].balloon_cursor;
         for _ in 0..budget {
             let gpa = cursor % frames;
@@ -583,7 +536,7 @@ impl VirtSystem {
     fn ksm_pass(&mut self, vm: usize, budget: u64) {
         let host_pid = self.vms[vm].host_pid;
         let frames = self.vms[vm].sim.machine().pm().total_frames();
-        let min_zero = self.host().cfg.dedup_min_zero;
+        let min_zero = self.host.cfg.dedup_min_zero;
         let mut scanned = 0u64;
         let mut cursor = self.vms[vm].ksm_cursor;
         while scanned < budget {
@@ -601,7 +554,7 @@ impl VirtSystem {
                     }
                 }
             }
-            let mut host = self.host.lock().expect("host mutex poisoned");
+            let host = &mut self.host;
             let host_huge =
                 host.machine.process(host_pid).map(|p| {
                     p.space().page_table().huge_entry(region).is_some()
@@ -686,7 +639,7 @@ mod tests {
     #[test]
     fn virt_system_is_send() {
         assert_send::<VirtSystem>();
-        assert_send::<HostBridge>();
+        assert_send::<HostSide>();
         assert_send::<VirtStats>();
     }
 
@@ -695,13 +648,13 @@ mod tests {
         // Regression: a bridge touch against a pid the host never spawned
         // used to abort via `.expect("vm process")`. It must now count a
         // bridge error, charge zero cycles, and leave the system usable.
-        let sys = VirtSystem::new(KernelConfig::small(), Box::new(LinuxThp::default()));
-        let mut bridge = HostBridge { host: Arc::clone(&sys.host), host_pid: 999 };
+        let mut sys = VirtSystem::new(KernelConfig::small(), Box::new(LinuxThp::default()));
+        let mut bridge = HostBridge { host: &mut sys.host, host_pid: 999 };
         let cost = bridge.on_touch(1, Vpn(0), Pfn(0), PageSize::Base, true, Cycles::ZERO);
         assert_eq!(cost, Cycles::ZERO);
         assert_eq!(sys.virt_stats().bridge_errors, 1);
         // The underlying error is typed and printable.
-        let err = sys.host().guest_touch(999, 0, false, Cycles::ZERO).unwrap_err();
+        let err = sys.host.guest_touch(999, 0, false, Cycles::ZERO).unwrap_err();
         assert_eq!(err, VirtError::NoProcess { pid: 999 });
         assert!(err.to_string().contains("999"));
     }
@@ -717,9 +670,8 @@ mod tests {
         assert!(sys.virt_stats().ept_faults > 0);
         // Host memory is held even after the guest process exits (the
         // guest kernel keeps the freed frames; no balloon).
-        sys.with_host(|h| {
-            assert!(h.pm().allocated_pages() > 2048, "{}", h.pm().allocated_pages());
-        });
+        let allocated = sys.host().pm().allocated_pages();
+        assert!(allocated > 2048, "{allocated}");
     }
 
     #[test]
@@ -728,10 +680,8 @@ mod tests {
         let vm = sys.add_vm(VmSpec { frames: 8 * 1024 }, Box::new(BasePagesOnly));
         sys.spawn_in_vm(vm, touch_workload(2048));
         sys.run();
-        sys.with_host(|h| {
-            let huge = h.process(1).unwrap().space().huge_pages();
-            assert!(huge >= 4, "host THP should back the VM hugely: {huge}");
-        });
+        let huge = sys.host().process(1).unwrap().space().huge_pages();
+        assert!(huge >= 4, "host THP should back the VM hugely: {huge}");
     }
 
     #[test]
@@ -761,7 +711,7 @@ mod tests {
         sys.run();
         let stats = sys.virt_stats();
         assert!(stats.ksm_merged > 2048, "host reclaimed guest-freed memory: {stats:?}");
-        sys.with_host(|h| h.pm().check_invariants());
+        sys.host().pm().check_invariants();
     }
 
     #[test]
@@ -787,7 +737,7 @@ mod tests {
         );
         sys.run();
         assert!(sys.virt_stats().ballooned >= 2048, "{:?}", sys.virt_stats());
-        sys.with_host(|h| h.pm().check_invariants());
+        sys.host().pm().check_invariants();
     }
 
     #[test]
@@ -807,11 +757,11 @@ mod tests {
             assert!(sys.guest(vm).process(1).unwrap().is_finished());
             assert!(!sys.guest(vm).process(1).unwrap().is_oom());
         }
-        sys.with_host(|h| h.pm().check_invariants());
+        sys.host().pm().check_invariants();
     }
 
     #[test]
-    fn nested_walks_cost_more_with_host_base_pages() {
+    fn nested_walks_cost_more_under_host_base_pages() {
         // Same guest workload; host policy differs (base vs huge).
         let run = |host_policy: Box<dyn HugePagePolicy>| {
             let mut sys = VirtSystem::new(KernelConfig::with_mib(512), host_policy);

@@ -86,6 +86,17 @@ if grep -rn 'env::var' crates/*/src src \
     exit 1
 fi
 
+# No shared ownership in the simulated machine: every layer from the
+# buddy allocator up to the virtualization host is plain owned data, and
+# what a layer needs from another is lent for a call or a round (the
+# virt host reaches a guest's touches through `Simulator::round_with`).
+echo "==> no shared ownership in the simulated machine"
+if grep -rnE 'Arc<|Rc<|Mutex|RwLock|RefCell' \
+    crates/{mem,vm,tlb,kernel,virt,core,policies,workloads}/src; then
+    echo "error: shared ownership in the simulated machine (listed above)" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
