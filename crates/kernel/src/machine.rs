@@ -833,8 +833,13 @@ impl Machine {
         cost
     }
 
-    /// Tears down an exited process: unmaps everything, frees frames,
-    /// drops MMU state. The process entry remains for statistics.
+    /// Tears down an exited process, the one teardown behind both natural
+    /// exit and [`crate::Simulator::kill`]: unmaps every area, frees its
+    /// frames and flushes its translations, then releases the address
+    /// space (VMA map and page table) and the workload generator. The
+    /// entry keeps only what reports read after exit: pid, name,
+    /// [`crate::ProcStats`], CPU time, finish time and the OOM flag, plus
+    /// the process's PMU counters in the MMU.
     pub fn exit_process(&mut self, pid: u32) {
         let Some(p) = self.processes.get_mut(&pid) else { return };
         let starts: Vec<Vpn> = p.space().vmas().map(|v| v.start()).collect();
@@ -854,6 +859,7 @@ impl Machine {
         // Keep PMU counters: tables report per-process overheads after
         // completion.
         self.mmu.flush_translations(pid);
+        self.processes.get_mut(&pid).expect("exists").release();
     }
 
     fn charge_daemon(&mut self, sub: Subsystem, c: Cycles) {

@@ -1,4 +1,12 @@
 //! Simulated processes.
+//!
+//! A [`Process`] owns its address space (VMAs and page table) and its
+//! workload generator while it runs. Exit ([`crate::Machine::exit_process`])
+//! frees its frames and then releases both: an exited process keeps only
+//! what reports read after it is gone — pid, name, [`ProcStats`], CPU
+//! time, finish time and the OOM flag (its PMU rows live in the MMU and
+//! survive too). Its space is a fresh, empty [`AddressSpace`] and
+//! `next_op` yields nothing.
 
 use crate::workload::{MemOp, Workload};
 use hawkeye_metrics::Cycles;
@@ -34,7 +42,8 @@ pub struct Process {
     pid: u32,
     name: String,
     space: AddressSpace,
-    workload: Box<dyn Workload>,
+    /// The generator; `None` once the process has exited.
+    workload: Option<Box<dyn Workload>>,
     pub(crate) pending: Option<OpCursor>,
     cpu_time: Cycles,
     finished: bool,
@@ -56,7 +65,7 @@ impl Process {
             pid,
             name: workload.name().to_string(),
             space: AddressSpace::new(),
-            workload,
+            workload: Some(workload),
             pending: None,
             cpu_time: Cycles::ZERO,
             finished: false,
@@ -125,12 +134,22 @@ impl Process {
         &mut self.stats
     }
 
+    /// Drops the address space (VMA map, page-table arena and index), the
+    /// generator and any half-done op. The machine calls this at exit,
+    /// after it has unmapped every area and freed the frames.
+    pub(crate) fn release(&mut self) {
+        debug_assert_eq!(self.space.rss_pages(), 0, "pid {} exits with mappings", self.pid);
+        self.space = AddressSpace::new();
+        self.workload = None;
+        self.pending = None;
+    }
+
     pub(crate) fn next_op(&mut self) -> Option<MemOp> {
-        self.workload.next_op()
+        self.workload.as_mut()?.next_op()
     }
 
     pub(crate) fn dirt_offset(&mut self) -> u16 {
-        self.workload.dirt_offset()
+        self.workload.as_mut().expect("an exited process touches no memory").dirt_offset()
     }
 }
 

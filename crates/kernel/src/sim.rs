@@ -818,6 +818,97 @@ mod tests {
         assert_eq!(h.stats(), r.stats(), "kernel stats");
     }
 
+    /// What reports read of a process after it exits.
+    #[derive(Debug, PartialEq)]
+    struct Kept {
+        name: String,
+        stats: crate::ProcStats,
+        cpu_time: Cycles,
+        oom: bool,
+        pmu: hawkeye_tlb::PmuWindow,
+    }
+
+    fn kept(sim: &Simulator, pid: u32) -> Kept {
+        let p = sim.machine().process(pid).expect("exists");
+        Kept {
+            name: p.name().to_string(),
+            stats: p.stats(),
+            cpu_time: p.cpu_time(),
+            oom: p.is_oom(),
+            pmu: sim.machine().mmu().lifetime(pid),
+        }
+    }
+
+    fn mapped_regions(sim: &Simulator, pid: u32) -> usize {
+        let p = sim.machine().process(pid).expect("exists");
+        p.space().page_table().mapped_regions().count()
+    }
+
+    /// Asserts `pid` has exited holding no address space and no generator.
+    fn assert_released(sim: &mut Simulator, pid: u32) {
+        assert_eq!(sim.machine().process(pid).unwrap().space().vmas().count(), 0);
+        assert_eq!(mapped_regions(sim, pid), 0);
+        let p = sim.machine.process_mut(pid).unwrap();
+        assert!(p.is_finished());
+        assert!(p.pending.is_none());
+        assert!(p.next_op().is_none(), "the generator is gone");
+    }
+
+    /// Two huge regions, written.
+    fn two_regions() -> Vec<MemOp> {
+        vec![
+            MemOp::Mmap { start: Vpn(0), pages: 1024, kind: VmaKind::Anon },
+            MemOp::TouchRange { start: Vpn(0), pages: 1024, write: true, think: 10, stride: 1, repeats: 1 },
+        ]
+    }
+
+    #[test]
+    fn natural_exit_keeps_only_statistics() {
+        // Size a trailing compute op so the ops end exactly at the first
+        // quantum's boundary: the second round then finds no op and exits
+        // spending nothing, so the state after round one is the state
+        // just before exit.
+        let q = KernelConfig::small().quantum;
+        let mut probe = Simulator::new(KernelConfig::small(), Box::new(AlwaysHuge));
+        let probe_pid = probe.spawn(script("probe", two_regions()));
+        probe.run();
+        let t = probe.machine().process(probe_pid).unwrap().cpu_time();
+        assert!(t < q, "the regions fit in one quantum");
+        let mut ops = two_regions();
+        ops.push(MemOp::Compute { cycles: (q - t).get() });
+        let mut sim = Simulator::new(KernelConfig::small(), Box::new(AlwaysHuge));
+        let pid = sim.spawn(script("exact", ops));
+        assert!(sim.round());
+        assert!(!sim.machine().process(pid).unwrap().is_finished());
+        assert_eq!(mapped_regions(&sim, pid), 2);
+        let before = kept(&sim, pid);
+        assert_eq!(before.cpu_time, q);
+        assert!(sim.round(), "the exit round");
+        assert_released(&mut sim, pid);
+        assert_eq!(kept(&sim, pid), before);
+        assert_eq!(sim.machine().process(pid).unwrap().finish_time(), Some(q));
+        assert!(!sim.round(), "nothing left to run");
+    }
+
+    #[test]
+    fn kill_keeps_only_statistics() {
+        // Killed mid-op with an op still queued behind it.
+        let mut ops = two_regions();
+        ops.push(MemOp::Compute { cycles: u64::MAX / 2 });
+        ops.push(MemOp::Compute { cycles: 1 });
+        let mut sim = Simulator::new(KernelConfig::small(), Box::new(AlwaysHuge));
+        let pid = sim.spawn(script("victim", ops));
+        assert!(sim.round() && sim.round());
+        assert!(sim.machine.process(pid).unwrap().pending.is_some());
+        assert_eq!(mapped_regions(&sim, pid), 2);
+        let before = kept(&sim, pid);
+        sim.kill(pid);
+        assert_released(&mut sim, pid);
+        assert_eq!(kept(&sim, pid), before);
+        assert_eq!(sim.machine().process(pid).unwrap().finish_time(), Some(sim.machine().now()));
+        assert_eq!(sim.machine().pm().allocated_pages(), 1, "just the zero page");
+    }
+
     #[test]
     fn base_policy_faults_once_per_page() {
         let mut sim = Simulator::new(KernelConfig::small(), Box::new(BasePagesOnly));

@@ -543,17 +543,20 @@ impl VirtSystem {
             let region = Hvpn((cursor / 512) % (frames / 512).max(1));
             cursor = (region.0 + 1) * 512;
             scanned += 512;
-            // Mirror guest content onto host frames for this region.
-            let mut zero_gpas: Vec<u64> = Vec::new();
+            // Mirror guest content onto host frames for this region: bit
+            // `i` of `zero` is set when the region's page `i` is a zeroed
+            // guest frame.
+            let mut zero = [0u64; 8];
             {
                 let guest_pm = self.vms[vm].sim.machine().pm();
                 for i in 0..512u64 {
                     let gpa = region.vpn_at(i).0;
                     if gpa < frames && guest_pm.frame(Pfn(gpa)).is_zeroed() {
-                        zero_gpas.push(gpa);
+                        zero[(i / 64) as usize] |= 1 << (i % 64);
                     }
                 }
             }
+            let is_zero = |i: u64| zero[(i / 64) as usize] & (1 << (i % 64)) != 0;
             let host = &mut self.host;
             let host_huge =
                 host.machine.process(host_pid).map(|p| {
@@ -568,7 +571,7 @@ impl VirtSystem {
                 let Some(t) = mapping else { continue };
                 let base_pfn = t.pfn;
                 for i in 0..512u64 {
-                    let content = if zero_gpas.contains(&(region.vpn_at(i).0)) {
+                    let content = if is_zero(i) {
                         PageContent::Zero
                     } else {
                         PageContent::non_zero(6)
@@ -582,9 +585,10 @@ impl VirtSystem {
                     host.machine.metrics().add("virt.ksm_merged_pages", zero_pages as u64);
                 }
             } else {
-                // Base mappings: merge zero pages individually.
-                for gpa in zero_gpas {
-                    let vpn = Vpn(gpa);
+                // Base mappings: merge zero pages individually, in
+                // ascending order.
+                for i in (0..512u64).filter(|&i| is_zero(i)) {
+                    let vpn = region.vpn_at(i);
                     let entry = host
                         .machine
                         .process(host_pid)

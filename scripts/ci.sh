@@ -57,17 +57,20 @@ cargo test --release -p hawkeye-kernel --test multicore_diff -q
 # every mapping and its accessed/dirty bits, the sentinel TLB sets
 # against the Vec+length reference, the buddy allocator's random
 # operations (owners sharing slots with free-list links, head-only
-# splits and merges) against its invariants, and the compactor against
-# the frame-scanning reference. Tier-1 runs them in debug, where
+# splits and merges) against its invariants, the compactor against the
+# frame-scanning reference, and process exit against a counting
+# allocator (an exited process's page table and generator are freed).
+# Tier-1 runs them in debug, where
 # `insert_absent`'s stale-victim `debug_assert!` and the frame-state
 # `debug_assert!`s are live; release checks the code that actually
 # ships, with the debug assertions compiled out.
-echo "==> exactness gates in release (fast path, page-table model, TLB oracle, buddy, compaction oracle)"
+echo "==> exactness gates in release (fast path, page-table model, TLB oracle, buddy, compaction oracle, exit heap)"
 cargo test --release -p hawkeye-kernel --test diff_fast_path -q
 cargo test --release -p hawkeye-vm --test proptest_page_table -q
 cargo test --release -p hawkeye-tlb --lib matches_vec_and_len_reference -q
 cargo test --release -p hawkeye-mem --test proptest_buddy -q
 cargo test --release -p hawkeye-mem --lib compact::tests::compaction_matches_frame_scanning_reference -q
+cargo test --release -p hawkeye-kernel --test exit_releases_memory -q
 
 # Docs-drift gate: the target and check counts stated in README.md and
 # EXPERIMENTS.md must agree with the registry (hawkeye-report --counts).
